@@ -104,6 +104,8 @@ def _competitor_from_name(name: str, datum):
 
 
 def run_energy_gap(args) -> str:
+    if args.corrector == "on" and args.iters < 1:
+        raise ConfigError("--corrector on needs --iters >= 1")
     eps_list = _parse_eps_list(args.eps)
     if any(not 0.0 < e <= 1.0 for e in eps_list):
         raise ConfigError("energy-gap needs epsilons in (0, 1]")
@@ -243,6 +245,10 @@ def run_check_map(args) -> str:
 
 
 def run_moser_demo(args) -> str:
+    if args.iters < 1:
+        raise ConfigError("moser-demo needs --iters >= 1")
+    if args.resolution < 2:
+        raise ConfigError("moser-demo needs --resolution >= 2")
     _, jdet = constructions.wedge_map(args.eps)
     corrector, trace = moser.constant_jacobian_corrector(
         jdet,

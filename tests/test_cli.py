@@ -84,6 +84,30 @@ def test_config_errors_exit_two(tmp_path):
     assert main(["not-a-command"]) == 2
 
 
+def test_corrector_config_errors_exit_two(tmp_path, monkeypatch, capsys):
+    import pjac.moser as moser
+    import pjac.radial as radial
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    monkeypatch.setattr(moser, "constant_jacobian_corrector", no_work)
+    monkeypatch.setattr(radial, "sobolev_energy_1d", no_work)
+    out = tmp_path / "never.csv"
+    for argv in (
+        ["moser-demo", "--resolution", "0"],
+        ["moser-demo", "--resolution", "1"],
+        ["moser-demo", "--resolution", "-3"],
+        ["moser-demo", "--iters", "0"],
+        ["energy-gap", "--eps", "0.1", "--corrector", "on", "--iters", "0"],
+        ["energy-gap", "--eps", "0.1", "--corrector", "on", "--iters", "-1"],
+    ):
+        assert main(argv + ["--out", str(out)]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("pjac: config error:") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_numerical_failure_exit_three(tmp_path):
     # the annulus indicator has no finite lambda*, so the audit must refuse
     out = tmp_path / "fail.csv"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.interpolate import RectBivariateSpline
 
 import pjac.moser as moser
 from pjac.errors import (
@@ -103,6 +105,114 @@ def test_bogovskii_vanishes_on_and_outside_boundary():
     boundary = dom.boundary_points(16)
     vals = field.direct_eval(boundary)
     assert float(np.max(np.hypot(vals[:, 0], vals[:, 1]))) < 1e-10
+
+
+def _ray_integral_reference(field, x, y):
+    """(x - y) * integral_1^inf bump(y + t (x - y)) t dt by adaptive quadrature."""
+    bump = field._bump
+    d = x - y
+    yc = y - bump.center
+    a, b, c = d @ d, 2.0 * (d @ yc), yc @ yc - bump.radius**2
+    disc = b * b - 4.0 * a * c
+    if a == 0.0 or disc <= 0.0:
+        return np.zeros(2)
+    lo = max((-b - np.sqrt(disc)) / (2.0 * a), 1.0)
+    hi = (-b + np.sqrt(disc)) / (2.0 * a)
+    if hi <= lo:
+        return np.zeros(2)
+    val, _ = quad(lambda t: float(bump(y + t * d)) * t, lo, hi,
+                  epsabs=0.0, epsrel=1e-13, limit=200)
+    return d * val
+
+
+def test_kernel_closed_form_matches_quadrature():
+    field = bogovskii_field(lambda p: np.zeros(p.shape[:-1]), unit_square_domain(),
+                            n_panels=4, cache=4)
+    c, r = 0.5, 0.22  # star ball of the unit square
+    # (x, y, whether the ray from y through x meets the ball beyond x)
+    cases = [
+        ((0.2, 0.5), (0.1, 0.5), True),              # full chord ahead of x
+        ((0.25, 0.4), (0.05, 0.3), True),            # full chord, oblique
+        ((0.45, 0.52), (0.1, 0.5), True),            # partial chord: x inside the ball
+        ((0.55, 0.6), (0.48, 0.45), True),           # x and y both inside the ball
+        ((0.2, c + 0.99 * r), (0.1, c + 0.99 * r), True),      # grazing
+        ((0.8, c - 0.995 * r), (0.9, c - 0.995 * r), True),    # grazing, other side
+        ((0.2, c + 1.01 * r), (0.1, c + 1.01 * r), False),     # grazing miss
+        ((0.95, 0.95), (0.9, 0.9), False),           # pointing away from the ball
+        ((0.1, 0.5), (0.9, 0.5), False),             # ball between y and x
+        ((0.3 + 1e-7, 0.5 + 3e-8), (0.3, 0.5), True),  # x close to y outside the ball
+        ((0.52 + 1e-7, 0.47), (0.52, 0.47), True),   # x close to y inside the ball
+        ((0.3, 0.5), (0.3, 0.5), False),             # x == y
+    ]
+    xs = np.array([case[0] for case in cases])
+    ys = np.array([case[1] for case in cases])
+    hits = np.array([case[2] for case in cases])
+    # every x against every y: the cases above plus many generic pairs
+    for x in xs:
+        got = field._kernel(x, ys)
+        ref = np.array([_ray_integral_reference(field, x, y) for y in ys])
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0, err_msg=f"x = {x}")
+    own = np.array([field._kernel(x, y[None, :])[0] for x, y in zip(xs, ys)])
+    assert np.array_equal(np.any(own != 0.0, axis=-1), hits)
+    # precomputed y-only terms give the same numbers
+    yc = ys - field._bump.center
+    c2 = np.sum(yc * yc, axis=-1) - r**2
+    assert np.array_equal(field._kernel(xs[2], ys, yc, c2), field._kernel(xs[2], ys))
+
+
+def test_cached_eval_matches_componentwise_splines():
+    dom = unit_square_domain()
+    h = lambda p: np.sin(2 * np.pi * p[..., 0]) * np.sin(np.pi * p[..., 1])  # noqa: E731
+    field = bogovskii_field(h, dom, n_panels=8, cache=8)
+    grid = np.linspace(0.0, 1.0, 9)
+    S, Q = np.meshgrid(grid, grid, indexing="ij")
+    vals = field.direct_eval(dom.to_xy(S.ravel(), Q.ravel())).reshape(9, 9, 2)
+    ref = [RectBivariateSpline(grid, grid, vals[..., j], kx=3, ky=3) for j in range(2)]
+
+    edge = np.linspace(0.0, 1.0, 7)
+    sq = np.concatenate([
+        np.random.default_rng(3).random((50, 2)),
+        [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+        np.stack([edge, np.zeros(7)], axis=-1), np.stack([np.ones(7), edge], axis=-1),
+        np.stack([edge, np.ones(7)], axis=-1), np.stack([np.zeros(7), edge], axis=-1),
+    ])
+    got = field.eval(dom.to_xy(sq[:, 0], sq[:, 1]))
+    want = np.stack([ref[j].ev(sq[:, 0], sq[:, 1]) for j in range(2)], axis=-1)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+
+
+def test_corrector_target_clamps_to_iterate_data_box(monkeypatch):
+    dom = unit_square_domain()
+    targets = []
+
+    class FakeCorrector:
+        mass_error = 0.0
+
+        def sigma(self, pts):
+            pts = np.asarray(pts, dtype=float)
+            return pts + 0.02 * np.sin(np.pi * pts[..., ::-1])
+
+        def jacobian_det(self, pts):
+            return np.ones(np.asarray(pts).shape[:-1])
+
+    def fake_flow(g, domain, **kw):
+        targets.append(g)
+        return FakeCorrector()
+
+    monkeypatch.setattr(moser, "moser_flow", fake_flow)
+    jdet = lambda p: 1.0 + 0.3 * p[..., 0] + 0.2 * p[..., 1] ** 2  # noqa: E731
+    c, m = 1.1, 8
+    constant_jacobian_corrector(jdet, c, dom, iterations=2, cache=m)
+    g2 = targets[1]
+    lo, hi = 0.5 / m, 1.0 - 0.5 / m  # first and last spline nodes
+    outside = np.array([[0.0, 0.0], [1.0, 0.3], [0.4, 1.0], [-0.2, 1.3]])
+    clamped = np.clip(outside, lo, hi)
+    assert np.array_equal(g2(dom.to_xy(outside[:, 0], outside[:, 1])),
+                          g2(dom.to_xy(clamped[:, 0], clamped[:, 1])))
+    # at a spline node the target is the iterate's own value
+    node = dom.to_xy(np.array([lo]), np.array([hi]))
+    moved = FakeCorrector().sigma(node)
+    np.testing.assert_allclose(g2(node), c / jdet(moved), rtol=1e-13)
 
 
 def test_bogovskii_rejects_nonzero_mean():

@@ -57,14 +57,12 @@ from .constructions import (
     layered_profile,
     nonuniqueness_datum,
     nonuniqueness_inner_profile,
-    rotated_family,
     shear_map,
     wedge_map,
 )
 from .moser import (
     MoserCorrector,
     VectorField,
-    bogovskii_field,
     constant_jacobian_corrector,
     moser_flow,
     unit_square_domain,

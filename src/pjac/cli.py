@@ -4,11 +4,13 @@ Subcommands: energy-gap, zhukovsky, nonuniqueness, check-map, moser-demo.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 Outputs are written atomically (temp file + rename) so a failed run never
 leaves a partial table behind; identical config + seed gives identical bytes.
+JSON refuses non-finite numbers (allow_nan=False), which exit 3.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -18,7 +20,8 @@ import numpy as np
 
 from . import constructions, energy, isoperimetry, moser, radial
 from .errors import PjacError
-from .maps import rotate_map
+from .geometry import det2
+from .maps import continuity_report, rotate_map
 from .radial import GeneralisedStretching, profile_from_datum
 from .regions import disc
 
@@ -29,25 +32,6 @@ class ConfigError(Exception):
 
 def _fmt(x) -> str:
     return f"{float(x):.17g}"
-
-
-def _emit_json(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        inner = ",\n".join(
-            f'{pad}  "{k}": {_emit_json(v, indent + 1).lstrip()}' for k, v in obj.items()
-        )
-        return f"{pad}{{\n{inner}\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        inner = ",\n".join(f"{pad}  {_emit_json(v, indent + 1).lstrip()}" for v in obj)
-        return f"{pad}[\n{inner}\n{pad}]"
-    if isinstance(obj, bool):
-        return pad + ("true" if obj else "false")
-    if isinstance(obj, (int, np.integer)):
-        return pad + str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return pad + _fmt(obj)
-    return pad + '"' + str(obj) + '"'
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -89,13 +73,10 @@ def _datum_from_name(name: str):
 
 
 def _competitor_from_name(name: str, datum):
-    if name in ("phi1", "phi2", "phi3"):
-        k = int(name[-1])
-        return GeneralisedStretching(profile_from_datum(datum, k)).as_planar_map()
-    if name == "rot-phi1":
-        phi1 = GeneralisedStretching(profile_from_datum(datum, 1)).as_planar_map()
-        return rotate_map(phi1, 0.7)
-    raise ConfigError(f"unknown competitor {name!r}")
+    if name not in ("phi1", "phi2", "phi3", "rot-phi1"):
+        raise ConfigError(f"unknown competitor {name!r}")
+    phi = GeneralisedStretching(profile_from_datum(datum, int(name[-1]))).as_planar_map()
+    return rotate_map(phi, 0.7) if name == "rot-phi1" else phi
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +157,7 @@ def run_nonuniqueness(args) -> str:
         },
         "rotation_energy_spread": spread,
     }
-    return _emit_json(doc) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def run_check_map(args) -> str:
@@ -185,36 +166,26 @@ def run_check_map(args) -> str:
         eta, rot = constructions.ball_to_square()
         pts = 0.2 + 0.6 * np.random.default_rng(args.seed).random((20000, 2))
         keep = eta.breaks_clear(pts, 1e-4)
-        from .geometry import det2
-
         res = np.abs(det2(eta.jacobian_fd(pts[keep])) - 2.0 / math.pi)
         w = eta(pts) @ rot.T
         l1 = np.abs(np.abs(w[:, 0]) + np.abs(w[:, 1]) - np.hypot(pts[:, 0], pts[:, 1]))
         doc["jacobian_fd_residual_max"] = float(np.max(res))
         doc["l1_identity_residual_max"] = float(np.max(l1))
-    elif args.map == "shear":
-        vmap = constructions.shear_map(args.eps)
-        from .maps import continuity_report
-
-        doc["continuity_max"] = max(continuity_report(vmap).values())
-        field = lambda pts: np.where(  # noqa: E731
-            np.abs(pts[..., 0]) + np.abs(pts[..., 1]) <= 1.0, args.eps, 1.0
-        )
-        mx, mean = energy.jacobian_residual(vmap, field, vmap.domain, seed=args.seed)
+    elif args.map in ("shear", "wedge"):
+        if args.map == "shear":
+            pmap = constructions.shear_map(args.eps)
+            jdet = lambda pts: np.where(  # noqa: E731
+                np.abs(pts[..., 0]) + np.abs(pts[..., 1]) <= 1.0, args.eps, 1.0
+            )
+        else:
+            pmap, jdet = constructions.wedge_map(args.eps)
+        doc["continuity_max"] = max(continuity_report(pmap).values())
+        mx, mean = energy.jacobian_residual(pmap, jdet, pmap.domain, seed=args.seed)
         doc["jacobian_residual_max"] = mx
         doc["jacobian_residual_mean"] = mean
-    elif args.map == "wedge":
-        wmap, jdet = constructions.wedge_map(args.eps)
-        from .maps import continuity_report
-
-        doc["continuity_max"] = max(continuity_report(wmap).values())
-        mx, mean = energy.jacobian_residual(
-            wmap, lambda pts: jdet(pts), wmap.domain, seed=args.seed
-        )
-        doc["jacobian_residual_max"] = mx
-        doc["jacobian_residual_mean"] = mean
-        grid = moser._interior_samples(moser.wedge_domain(), 4000, seed=args.seed)
-        doc["jacobian_min"] = float(np.min(jdet(grid)))
+        if args.map == "wedge":
+            grid = moser._interior_samples(moser.wedge_domain(), 4000, seed=args.seed)
+            doc["jacobian_min"] = float(np.min(jdet(grid)))
     elif args.map == "counterexample":
         u = constructions.assemble_counterexample(args.eps)
         doc["boundary_identity_residual"] = constructions.boundary_identity_residual(u)
@@ -222,8 +193,6 @@ def run_check_map(args) -> str:
         mx, mean = energy.jacobian_residual(u, datum.as_field(), disc(2.0), seed=args.seed)
         doc["jacobian_residual_max_inner"] = mx
         doc["jacobian_residual_mean_inner"] = mean
-        from .geometry import det2
-
         iso = []
         for r in (0.5, 1.5, 2.5):
             curve = isoperimetry.image_curve(u, r, n=1024)
@@ -241,7 +210,7 @@ def run_check_map(args) -> str:
         doc["isoperimetry"] = iso
     else:
         raise ConfigError(f"unknown map {args.map!r}")
-    return _emit_json(doc) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def run_moser_demo(args) -> str:
@@ -267,7 +236,7 @@ def run_moser_demo(args) -> str:
             ],
             "boundary_displacement": corrector.boundary_displacement,
         }
-        return _emit_json(doc) + "\n"
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
     rows = ["iter,max_residual,mass_error"]
     for row in trace:
         rows.append(f"{row.iteration},{_fmt(row.max_residual)},{_fmt(row.mass_error)}")
@@ -277,6 +246,28 @@ def run_moser_demo(args) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _at_least(kind, low, what: str):
+    """argparse type: a finite ``kind`` value >= low; anything else exits 2."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"{what} must be finite and >= {low}, not {text}")
+        return value
+
+    parse.__name__ = what  # argparse names the type in its own messages
+    return parse
+
+
+# flags that some subcommands read; the others do not take them
+_SHARED = {
+    "--p": dict(type=_at_least(float, 1.0, "exponent p"), default=1.0,
+                help="energy exponent (finite, >= 1)"),
+    "--grid": dict(type=_at_least(int, 8, "grid"), default=256,
+                   help="quadrature resolution (>= 8)"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pjac",
@@ -284,44 +275,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--p", type=float, default=1.0, help="energy exponent (>= 1)")
-        p.add_argument("--grid", type=int, default=256, help="quadrature resolution")
+    def command(name, fn, help, *flags):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--out", default="-", help="output path ('-' for stdout)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--json", action="store_true")
+        for flag in flags:
+            p.add_argument(flag, **_SHARED[flag])
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("energy-gap", help="radial blow-up vs bounded competitor")
-    common(p)
+    p = command("energy-gap", run_energy_gap, "radial blow-up vs bounded competitor",
+                "--p", "--grid")
     p.add_argument("--eps", default="1e-1,1e-2,1e-3")
     p.add_argument("--corrector", choices=("off", "on"), default="off")
     p.add_argument("--iters", type=int, default=3)
-    p.set_defaults(fn=run_energy_gap)
 
-    p = sub.add_parser("zhukovsky", help="circle-energy comparison audit")
-    common(p)
+    p = command("zhukovsky", run_zhukovsky, "circle-energy comparison audit", "--p")
     p.add_argument("--datum", default="uniform")
     p.add_argument("--competitor", default="phi2")
     p.add_argument("--radii", type=int, default=32)
-    p.set_defaults(fn=run_zhukovsky)
 
-    p = sub.add_parser("nonuniqueness", help="balanced-datum construction report")
-    common(p)
-    p.set_defaults(fn=run_nonuniqueness)
+    command("nonuniqueness", run_nonuniqueness, "balanced-datum construction report",
+            "--p", "--grid")
 
-    p = sub.add_parser("check-map", help="continuity/Jacobian/isoperimetry audits")
-    common(p)
+    p = command("check-map", run_check_map, "continuity/Jacobian/isoperimetry audits",
+                "--grid")
     p.add_argument("--map", required=True,
                    choices=("eta", "shear", "wedge", "counterexample"))
     p.add_argument("--eps", type=float, default=0.5)
-    p.set_defaults(fn=run_check_map)
 
-    p = sub.add_parser("moser-demo", help="constant-Jacobian corrector trace")
-    common(p)
+    p = command("moser-demo", run_moser_demo, "constant-Jacobian corrector trace")
+    p.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
     p.add_argument("--eps", type=float, default=0.5)
     p.add_argument("--iters", type=int, default=3)
     p.add_argument("--resolution", type=int, default=20)
-    p.set_defaults(fn=run_moser_demo)
 
     return parser
 
@@ -333,8 +320,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        if args.p < 1.0:
-            raise ConfigError("exponent p must be >= 1")
         text = args.fn(args)
         _write_atomic(args.out, text)
     except ConfigError as exc:

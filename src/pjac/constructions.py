@@ -20,7 +20,8 @@ from .errors import (
     OriginEvaluation,
     OutsideWedge,
 )
-from .maps import Interface, PlanarMap, reflect_extend, rotate_map
+from .geometry import cofactor, det2, polar_jacobian
+from .maps import Interface, PlanarMap, reflect_extend
 from .radial import (
     AffineExpr,
     ConstExpr,
@@ -32,8 +33,6 @@ from .radial import (
     profile_from_datum,
 )
 from .regions import disc, l1_annulus, l1_ball, l1_norm
-
-rotated_family = rotate_map  # precompose with a rotation; energies unchanged
 
 _SQRT2 = math.sqrt(2.0)
 _ROT45 = np.array([[_SQRT2 / 2, -_SQRT2 / 2], [_SQRT2 / 2, _SQRT2 / 2]])
@@ -153,6 +152,27 @@ class DiamondChart:
 # ---------------------------------------------------------------------------
 
 
+def _vertical(xc, y0, y1):
+    """The segment x = xc from y0 to y1, parametrised by t in [0, 1]."""
+
+    def curve(t):
+        y = y0 + (y1 - y0) * np.asarray(t)
+        return np.stack([np.full_like(y, xc), y], axis=-1)
+
+    return curve
+
+
+def _graph_branch(second):
+    """The branch (x, y) -> (x, second(x, y)) of a map that keeps x (shear, wedge)."""
+
+    def branch(pts):
+        pts = np.asarray(pts, dtype=float)
+        x, y = pts[..., 0], pts[..., 1]
+        return np.stack([x, second(x, y)], axis=-1)
+
+    return branch
+
+
 def shear_map(eps: float) -> PlanarMap:
     """The vertical shear of Q_2: compresses Q_1 onto a flat lens.
 
@@ -164,25 +184,27 @@ def shear_map(eps: float) -> PlanarMap:
     if not 0.0 <= eps <= 1.0:
         raise ValueError("shear parameter must lie in [0, 1]")
 
+    # second component per branch: Q_1, the ring where |x| < 1, the rest
+    squash, shift, keep = (
+        lambda x, y: eps * y,
+        lambda x, y: y - (1.0 - eps) * (1.0 - np.abs(x)) * np.sign(y),
+        lambda x, y: y,
+    )
+
     def fn(pts):
         pts = np.asarray(pts, dtype=float)
         x, y = pts[..., 0], pts[..., 1]
-        n1 = np.abs(x) + np.abs(y)
-        out = pts.copy()
-        q1 = n1 <= 1.0
+        q1 = np.abs(x) + np.abs(y) <= 1.0
         shear = ~q1 & (np.abs(x) < 1.0)
-        out[..., 1] = np.where(q1, eps * y, out[..., 1])
-        shift = (1.0 - eps) * (1.0 - np.abs(x)) * np.sign(y)
-        out[..., 1] = np.where(shear, y - shift, out[..., 1])
-        return out
+        second = np.where(q1, squash(x, y), np.where(shear, shift(x, y), keep(x, y)))
+        return np.stack([x, second], axis=-1)
 
     def jac(pts):
         pts = np.asarray(pts, dtype=float)
         x, y = pts[..., 0], pts[..., 1]
-        n1 = np.abs(x) + np.abs(y)
         out = np.zeros(pts.shape[:-1] + (2, 2))
         out[..., 0, 0] = 1.0
-        q1 = n1 <= 1.0
+        q1 = np.abs(x) + np.abs(y) <= 1.0
         shear = ~q1 & (np.abs(x) < 1.0)
         out[..., 1, 1] = np.where(q1, eps, 1.0)
         out[..., 1, 0] = np.where(shear, (1.0 - eps) * np.sign(x) * np.sign(y), 0.0)
@@ -210,31 +232,14 @@ def shear_map(eps: float) -> PlanarMap:
 
         return curve
 
-    def q1_branch(pts):
-        pts = np.asarray(pts, dtype=float)
-        return np.stack([pts[..., 0], eps * pts[..., 1]], axis=-1)
-
-    def shear_branch(pts):
-        pts = np.asarray(pts, dtype=float)
-        x, y = pts[..., 0], pts[..., 1]
-        shift = (1.0 - eps) * (1.0 - np.abs(x)) * np.sign(y)
-        return np.stack([x, y - shift], axis=-1)
-
-    def chord(xc, y0, y1):
-        def curve(t):
-            y = y0 + (y1 - y0) * np.asarray(t)
-            return np.stack([np.full_like(y, xc), y], axis=-1)
-
-        return curve
-
-    ident = lambda pts: np.asarray(pts, dtype=float)  # noqa: E731
+    q1_branch, shear_branch, ident = map(_graph_branch, (squash, shift, keep))
     interfaces = (
         Interface(edge(-1, 1, True), q1_branch, shear_branch, "inner-top"),
         Interface(edge(-1, 1, False), q1_branch, shear_branch, "inner-bottom"),
-        Interface(chord(1.0, 0.0, 1.0), ident, shear_branch, "chord+x+y"),
-        Interface(chord(1.0, -1.0, 0.0), ident, shear_branch, "chord+x-y"),
-        Interface(chord(-1.0, 0.0, 1.0), ident, shear_branch, "chord-x+y"),
-        Interface(chord(-1.0, -1.0, 0.0), ident, shear_branch, "chord-x-y"),
+        Interface(_vertical(1.0, 0.0, 1.0), ident, shear_branch, "chord+x+y"),
+        Interface(_vertical(1.0, -1.0, 0.0), ident, shear_branch, "chord+x-y"),
+        Interface(_vertical(-1.0, 0.0, 1.0), ident, shear_branch, "chord-x+y"),
+        Interface(_vertical(-1.0, -1.0, 0.0), ident, shear_branch, "chord-x-y"),
     )
     return PlanarMap(
         fn=fn,
@@ -282,39 +287,35 @@ def wedge_map(eps: float) -> tuple[PlanarMap, "callable"]:
         if worst > 1e-2:
             raise OutsideWedge(f"points leave the wedge by {worst:.3e}")
 
-    def second(pts):
-        x, y = pts[..., 0], pts[..., 1]
-        inner = 0.5 * (2 * eps * (x - 1) * (x + y - 3) - x**2 + 3 * x + y**2 - y)
-        middle = 0.5 * (x * (2 * y - 5) + x**2 + y**2 - 3 * y + 6)
-        outer = 0.5 * y * (x + y - 1)
+    # second component per vertical strip x <= 1, 1 < x <= 2, x > 2
+    strips = (
+        lambda x, y: 0.5 * (2 * eps * (x - 1) * (x + y - 3) - x**2 + 3 * x + y**2 - y),
+        lambda x, y: 0.5 * (x * (2 * y - 5) + x**2 + y**2 - 3 * y + 6),
+        lambda x, y: 0.5 * y * (x + y - 1),
+    )
+
+    def pick(x, inner, middle, outer):
         return np.where(x <= 1.0, inner, np.where(x <= 2.0, middle, outer))
 
     def fn(pts):
         pts = np.asarray(pts, dtype=float)
         check_inside(pts)
-        return np.stack([pts[..., 0], second(pts)], axis=-1)
+        x, y = pts[..., 0], pts[..., 1]
+        return np.stack([x, pick(x, *(f(x, y) for f in strips))], axis=-1)
 
     def jdet(pts):
         pts = np.asarray(pts, dtype=float)
         x, y = pts[..., 0], pts[..., 1]
-        return np.where(
-            x <= 1.0,
-            eps * (x - 1) + y - 0.5,
-            np.where(x <= 2.0, x + y - 1.5, 0.5 * (x - 1) + y),
-        )
+        return pick(x, eps * (x - 1) + y - 0.5, x + y - 1.5, 0.5 * (x - 1) + y)
 
     def jac(pts):
         pts = np.asarray(pts, dtype=float)
         check_inside(pts)
         x, y = pts[..., 0], pts[..., 1]
-        dx = np.where(
-            x <= 1.0,
-            eps * (2 * x + y - 4) + 0.5 * (3 - 2 * x),
-            np.where(x <= 2.0, x + y - 2.5, 0.5 * y),
-        )
         out = np.zeros(pts.shape[:-1] + (2, 2))
         out[..., 0, 0] = 1.0
-        out[..., 1, 0] = dx
+        out[..., 1, 0] = pick(x, eps * (2 * x + y - 4) + 0.5 * (3 - 2 * x),
+                              x + y - 2.5, 0.5 * y)
         out[..., 1, 1] = jdet(pts)
         return out
 
@@ -327,32 +328,10 @@ def wedge_map(eps: float) -> tuple[PlanarMap, "callable"]:
              np.abs(x), np.abs(y)]
         )
 
-    def strip_branch(lo_mid_hi):
-        def branch(pts):
-            pts = np.asarray(pts, dtype=float)
-            x, y = pts[..., 0], pts[..., 1]
-            if lo_mid_hi == "inner":
-                val = 0.5 * (2 * eps * (x - 1) * (x + y - 3) - x**2 + 3 * x + y**2 - y)
-            elif lo_mid_hi == "middle":
-                val = 0.5 * (x * (2 * y - 5) + x**2 + y**2 - 3 * y + 6)
-            else:
-                val = 0.5 * y * (x + y - 1)
-            return np.stack([x, val], axis=-1)
-
-        return branch
-
-    def vertical(xc, y0, y1):
-        def curve(t):
-            y = y0 + (y1 - y0) * np.asarray(t)
-            return np.stack([np.full_like(y, xc), y], axis=-1)
-
-        return curve
-
+    inner, middle, outer = map(_graph_branch, strips)
     interfaces = (
-        Interface(vertical(1.0, 1.0, 2.0), strip_branch("inner"),
-                  strip_branch("middle"), "strip x=1"),
-        Interface(vertical(2.0, 0.0, 1.0), strip_branch("middle"),
-                  strip_branch("outer"), "strip x=2"),
+        Interface(_vertical(1.0, 1.0, 2.0), inner, middle, "strip x=1"),
+        Interface(_vertical(2.0, 0.0, 1.0), middle, outer, "strip x=2"),
     )
 
     pmap = PlanarMap(
@@ -440,16 +419,6 @@ def layered_profile(eps: float) -> GeneralisedStretching:
     return GeneralisedStretching(profile_from_datum(layered_datum(eps), 1))
 
 
-def _inv2(mats: np.ndarray) -> np.ndarray:
-    det = mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
-    out = np.empty_like(mats)
-    out[..., 0, 0] = mats[..., 1, 1]
-    out[..., 0, 1] = -mats[..., 0, 1]
-    out[..., 1, 0] = -mats[..., 1, 0]
-    out[..., 1, 1] = mats[..., 0, 0]
-    return out / det[..., None, None]
-
-
 def assemble_counterexample(
     eps: float,
     corrector=None,
@@ -477,27 +446,22 @@ def assemble_counterexample(
     upper = reflect_extend(wedge, axes=("y",), trace_tol=trace_tol)
     ring = reflect_extend(upper, axes=("x",), trace_tol=trace_tol)
 
-    def diamond_fn(w):
-        w = np.asarray(w, dtype=float)
-        n1 = l1_norm(w)
-        inner = n1 <= 2.0
-        out = np.empty_like(w)
-        if np.any(inner):
-            out[inner] = vmap.fn(w[inner])
-        if np.any(~inner):
-            out[~inner] = ring.fn(w[~inner])
-        return out
+    def by_part(inner_part, ring_part, tail):
+        # the shear on Q_2, the reflected wedge on the ring outside it
+        def apply(w):
+            w = np.asarray(w, dtype=float)
+            inner = l1_norm(w) <= 2.0
+            out = np.empty(w.shape[:-1] + tail)
+            if np.any(inner):
+                out[inner] = inner_part(w[inner])
+            if np.any(~inner):
+                out[~inner] = ring_part(w[~inner])
+            return out
 
-    def diamond_jac(w):
-        w = np.asarray(w, dtype=float)
-        n1 = l1_norm(w)
-        inner = n1 <= 2.0
-        out = np.empty(w.shape[:-1] + (2, 2))
-        if np.any(inner):
-            out[inner] = vmap.jac(w[inner])
-        if np.any(~inner):
-            out[~inner] = ring.jac(w[~inner])
-        return out
+        return apply
+
+    diamond_fn = by_part(vmap.fn, ring.fn, (2,))
+    diamond_jac = by_part(vmap.jac, ring.jac, (2, 2))
 
     # audit the glue along the four edges of the diamond |w|_1 = 2
     t = (np.arange(n_interface) + 0.5) / n_interface
@@ -519,8 +483,12 @@ def assemble_counterexample(
     def jac(z):
         z = np.asarray(z, dtype=float)
         w = chart.fwd(z)
-        uz = chart.inv(diamond_fn(w))
-        return _inv2(chart.jac(uz)) @ diamond_jac(w) @ chart.jac(z)
+        # (D chart at u(z))^-1 = cofactor^T / det, then the products; each
+        # step replaces the last (n, 2, 2) array, so only one stays alive
+        out = chart.jac(chart.inv(diamond_fn(w)))
+        out = np.swapaxes(cofactor(out), -1, -2) / det2(out)[..., None, None]
+        out = out @ diamond_jac(w)
+        return out @ chart.jac(z)
 
     def break_distance(z):
         z = np.asarray(z, dtype=float)
@@ -557,28 +525,6 @@ def boundary_identity_residual(u: PlanarMap, radius: float = 3.0, n: int = 720) 
     pts = radius * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     gap = u(pts) - pts
     return float(np.max(np.hypot(gap[..., 0], gap[..., 1])))
-
-
-def map_to_csv(u: PlanarMap, region, n: int = 64) -> str:
-    """Sampled grid of the map and its Jacobian as `x,y,ux,uy,J` rows.
-
-    Intended for external plotting; points outside the region are skipped.
-    """
-    from .geometry import det2
-
-    lo, hi = region.bbox()
-    xs = np.linspace(lo[0], hi[0], n)
-    ys = np.linspace(lo[1], hi[1], n)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
-    keep = region.contains(pts)
-    pts = pts[keep]
-    vals = u(pts)
-    jac = det2(u.jacobian(pts))
-    lines = ["x,y,ux,uy,J"]
-    for (x, y), (ux, uy), j in zip(pts, vals, jac):
-        lines.append(f"{x:.17g},{y:.17g},{ux:.17g},{uy:.17g},{j:.17g}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -683,13 +629,12 @@ def phase_twisted_stretching(profile: RadialProfile, beta, beta_dot,
     derivative energy psi^2 beta_dot^2.
     """
     k = profile.k
-    sq = math.sqrt(abs(k))
 
     def fn(pts):
         pts = np.asarray(pts, dtype=float)
         r = np.hypot(pts[..., 0], pts[..., 1])
         theta = np.arctan2(pts[..., 1], pts[..., 0])
-        psi = profile.rho(r) / sq
+        psi = profile.modulus(r)
         phi = k * theta + np.asarray(beta(r))
         return np.stack([psi * np.cos(phi), psi * np.sin(phi)], axis=-1)
 
@@ -698,17 +643,14 @@ def phase_twisted_stretching(profile: RadialProfile, beta, beta_dot,
         x, y = pts[..., 0], pts[..., 1]
         r = np.hypot(x, y)
         theta = np.arctan2(y, x)
-        psi = profile.rho(r) / sq
-        psi_r = profile.rho_dot(r) / sq
+        psi = profile.modulus(r)
+        psi_r = profile.modulus_dot(r)
         bd = np.asarray(beta_dot(r))
         phi = k * theta + np.asarray(beta(r))
         cp, sp = np.cos(phi), np.sin(phi)
         ur = np.stack([psi_r * cp - psi * bd * sp, psi_r * sp + psi * bd * cp], axis=-1)
         ut = np.stack([-k * psi / r * sp, k * psi / r * cp], axis=-1)
-        out = np.empty(pts.shape[:-1] + (2, 2))
-        out[..., :, 0] = ur * (x / r)[..., None] + ut * (-y / r)[..., None]
-        out[..., :, 1] = ur * (y / r)[..., None] + ut * (x / r)[..., None]
-        return out
+        return polar_jacobian(pts, r, ur, ut)
 
     breaks = tuple(float(b) for b in profile.datum.breakpoints() if 0 < b <= radius)
     return PlanarMap(

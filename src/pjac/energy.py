@@ -54,10 +54,7 @@ def _composite_gl(edges, n_target: int):
 
 def _sector(constraints) -> tuple[float, float]:
     """Angular interval cut out of [0, 2pi) by half-plane constraints."""
-    lo, hi = 0.0, TWO_PI
     cs = set(constraints)
-    if not cs:
-        return lo, hi
     intervals = {
         frozenset(): (0.0, TWO_PI),
         frozenset({"x>0"}): (-np.pi / 2, np.pi / 2),
@@ -236,6 +233,18 @@ def circle_energy(u: PlanarMap, p: float, r: float, n: int = 1024) -> float:
     return float(np.sum(dens**p) * (TWO_PI / n))
 
 
+def _points_off_breaks(u: PlanarMap, region: Region, n: int, seed: int | None,
+                       margin: float | None = None) -> np.ndarray:
+    """Quasi-random samples of the region farther than margin from u's breaks;
+    the default margin is ten finite-difference steps at the region's scale."""
+    if margin is None:
+        lo, hi = region.bbox()
+        scale = float(np.max(np.abs(np.concatenate([lo, hi]))))
+        margin = 10 * FD_SCALE * max(1.0, scale)
+    return quasi_random_points(region, n, seed=seed, min_break_distance=margin,
+                               break_distance=u.break_distance)
+
+
 def jacobian_residual(
     u: PlanarMap,
     f_field,
@@ -245,14 +254,7 @@ def jacobian_residual(
     margin: float | None = None,
 ) -> tuple[float, float]:
     """(max, mean) of |det Du - f| over quasi-random samples off the breaks."""
-    lo, hi = region.bbox()
-    scale = float(np.max(np.abs(np.concatenate([lo, hi]))))
-    if margin is None:
-        margin = 10 * FD_SCALE * max(1.0, scale)
-    pts = quasi_random_points(
-        region, n, seed=seed, min_break_distance=margin,
-        break_distance=u.break_distance,
-    )
+    pts = _points_off_breaks(u, region, n, seed, margin)
     res = np.abs(det2(u.jacobian(pts)) - np.asarray(f_field(pts)))
     return float(np.max(res)), float(np.mean(res))
 
@@ -264,14 +266,7 @@ def lipschitz_estimate(
     seed: int | None = None,
 ) -> float:
     """Sampled maximum of the Frobenius norm |Du|; a lower bound for the sup."""
-    region = region or u.domain
-    lo, hi = region.bbox()
-    scale = float(np.max(np.abs(np.concatenate([lo, hi]))))
-    margin = 10 * FD_SCALE * max(1.0, scale)
-    pts = quasi_random_points(
-        region, n, seed=seed, min_break_distance=margin,
-        break_distance=u.break_distance,
-    )
+    pts = _points_off_breaks(u, region or u.domain, n, seed)
     return float(np.max(frobenius(u.jacobian(pts))))
 
 

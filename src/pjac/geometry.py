@@ -44,6 +44,19 @@ def cofactor(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def polar_jacobian(pts: np.ndarray, r: np.ndarray, ur: np.ndarray,
+                   ut: np.ndarray) -> np.ndarray:
+    """Du from the polar partials ur = d_r u and ut = (1/r) d_theta u.
+
+    Du = ur (x, y)/r + ut (-y, x)/r, with r = |(x, y)| passed in by the caller.
+    """
+    x, y = pts[..., 0], pts[..., 1]
+    out = np.empty(pts.shape[:-1] + (2, 2))
+    out[..., :, 0] = ur * (x / r)[..., None] + ut * (-y / r)[..., None]
+    out[..., :, 1] = ur * (y / r)[..., None] + ut * (x / r)[..., None]
+    return out
+
+
 def wrap_angle(x):
     """Reduce angles to the principal branch [-pi, pi)."""
     return (np.asarray(x) + np.pi) % TWO_PI - np.pi

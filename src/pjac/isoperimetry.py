@@ -80,14 +80,6 @@ class WindingField:
     def masked_fraction(self) -> float:
         return float(np.mean(self.masked))
 
-    def to_csv(self) -> str:
-        lines = ["x,y,w"]
-        for j, y in enumerate(self.ys):
-            for i, x in enumerate(self.xs):
-                w = "" if self.masked[j, i] else str(int(self.winding[j, i]))
-                lines.append(f"{x:.17g},{y:.17g},{w}")
-        return "\n".join(lines) + "\n"
-
 
 def _scanline_winding(verts: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Winding numbers on the tensor grid by signed ray crossings.

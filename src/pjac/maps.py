@@ -98,7 +98,7 @@ def rotate_map(u: PlanarMap, alpha: float) -> PlanarMap:
     rotates with alpha.
     """
     if u.domain.kind not in ("disc", "annulus") or u.domain.constraints:
-        raise ValueError("rotated_family needs a rotation-invariant domain")
+        raise ValueError("rotate_map needs a rotation-invariant domain")
     c, s = np.cos(alpha), np.sin(alpha)
     rot = np.array([[c, -s], [s, c]])
 

@@ -45,6 +45,7 @@ from .errors import (
     NonZeroMean,
     PreconditionViolated,
 )
+from .geometry import det2
 
 _GL4 = np.polynomial.legendre.leggauss(4)
 _ESCAPE_TOL = 5e-4  # chart units
@@ -72,9 +73,7 @@ class QuadDomain:
         P = np.asarray(self.corners, dtype=float)
         if P.shape != (4, 2):
             raise DegenerateDomain("need exactly four corners")
-        x, y = P[:, 0], P[:, 1]
-        area = 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
-        if area <= 0:
+        if self.area() <= 0:
             raise DegenerateDomain("corners must be counterclockwise")
         for i in range(4):
             a, b, c = P[i], P[(i + 1) % 4], P[(i + 2) % 4]
@@ -406,19 +405,11 @@ class VectorField:
         return out.reshape(pts.shape)
 
 
-def bogovskii_field(h, domain: QuadDomain, n_panels: int = 20,
-                    cache: int = 48) -> VectorField:
-    """Solve div xi = h, xi = 0 on the boundary, for zero-mean Lipschitz h."""
-    return VectorField(h, domain, n_panels=n_panels, cache=cache)
-
-
 def divergence_residual(field: VectorField, h, n_samples: int = 100,
                         margin: float = 0.08, seed: int = 0,
                         fd_frac: float = 5e-3) -> tuple[float, float]:
     """(max, mean) of |div xi - h| by central differences of direct_eval."""
-    rng = np.random.default_rng(seed)
-    sq = margin + (1 - 2 * margin) * rng.random((4 * n_samples, 2))
-    pts = field.domain.to_xy(sq[:, 0], sq[:, 1])[:n_samples]
+    pts = _interior_samples(field.domain, 4 * n_samples, margin, seed)[:n_samples]
     step = fd_frac * field.domain.scale()
     ex = np.array([step, 0.0])
     ey = np.array([0.0, step])
@@ -464,8 +455,7 @@ class MoserCorrector:
         return out
 
     def jacobian_det(self, pts) -> np.ndarray:
-        m = self.jacobian(pts)
-        return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+        return det2(self.jacobian(pts))
 
 
 class _Escaped(Exception):
@@ -555,15 +545,8 @@ def moser_flow(g, domain: QuadDomain, n_panels: int = 20, cache: int = 48,
     corr.residual_max = float(np.max(res))
     corr.residual_mean = float(np.mean(res))
 
-    x0, w0 = _GL4
-    edges = np.linspace(0.0, 1.0, 13)
-    mids, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
-    n1 = (mids[:, None] + halves[:, None] * x0[None, :]).ravel()
-    w1 = (halves[:, None] * w0[None, :]).ravel()
-    SS, QQ = np.meshgrid(n1, n1, indexing="ij")
-    WW = np.outer(w1, w1).ravel() * domain.chart_jdet(SS.ravel(), QQ.ravel())
-    nodes = domain.to_xy(SS.ravel(), QQ.ravel())
-    mass = float(np.sum(WW * corr.jacobian_det(nodes)))
+    _, nodes, weights = panel_nodes(domain, 12)
+    mass = float(np.sum(weights * corr.jacobian_det(nodes)))
     corr.mass_error = abs(mass - domain.area()) / domain.area()
 
     bpts = domain.boundary_points(48)
@@ -609,21 +592,24 @@ def constant_jacobian_corrector(
     initial = float(np.max(np.abs(np.asarray(jdet(samples), dtype=float) - c)))
     trace = [CorrectorTraceRow(iteration=0, max_residual=initial, mass_error=0.0)]
 
-    # the previous iterate is splined on cell centres; g_n clamps queries to
+    # the previous iterate is splined on cell centres when the next round
+    # starts, so the last one is never flowed there; g_n clamps queries to
     # [grid[0], grid[-1]]^2 instead of extrapolating
     m = cache
     grid = (np.arange(m) + 0.5) / m
     S, Q = np.meshgrid(grid, grid, indexing="ij")
     nodes = domain.to_xy(S.ravel(), Q.ravel())
-    sigma_spline = None
+    corr = None
     best, best_res = None, math.inf
     worse_streak = 0
 
     for it in range(1, iterations + 1):
-        if sigma_spline is None:
+        if corr is None:
             def g_n(pts):
                 return c / np.asarray(jdet(pts), dtype=float)
         else:
+            sigma_spline = _vector_spline(grid, corr.sigma(nodes).reshape(m, m, 2))
+
             def g_n(pts, _spline=sigma_spline):
                 pts = np.asarray(pts, dtype=float)
                 s, q = domain.from_xy(pts.reshape(-1, 2))
@@ -649,7 +635,5 @@ def constant_jacobian_corrector(
                     f"residual increased twice (best {best_res:.3e}); "
                     "returning would hide the failure"
                 )
-
-        sigma_spline = _vector_spline(grid, corr.sigma(nodes).reshape(m, m, 2))
 
     return best, trace

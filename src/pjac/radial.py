@@ -30,6 +30,7 @@ from .errors import (
     PjacError,
     PreconditionViolated,
 )
+from .geometry import det2, polar_jacobian
 from .maps import PlanarMap
 from .regions import disc
 
@@ -251,7 +252,8 @@ class RadialDatum:
         idx = np.searchsorted(self._edges, r, side="right") - 1
         return np.clip(idx, 0, len(self.pieces) - 1)
 
-    def f(self, r) -> np.ndarray:
+    def _per_piece(self, r, method: str) -> np.ndarray:
+        """Each piece's ``method`` (value or deriv) on its radii, zero beyond."""
         r = np.asarray(r, dtype=float)
         out = np.zeros_like(r)
         idx = self._piece_index(r)
@@ -259,19 +261,14 @@ class RadialDatum:
         for i, pc in enumerate(self.pieces):
             m = inside & (idx == i)
             if np.any(m):
-                out[m] = pc.expr.value(r[m])
+                out[m] = getattr(pc.expr, method)(r[m])
         return out
 
+    def f(self, r) -> np.ndarray:
+        return self._per_piece(r, "value")
+
     def f_deriv(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        idx = self._piece_index(r)
-        inside = r < self.support_radius
-        for i, pc in enumerate(self.pieces):
-            m = inside & (idx == i)
-            if np.any(m):
-                out[m] = pc.expr.deriv(r[m])
-        return out
+        return self._per_piece(r, "deriv")
 
     def cumulative(self, r) -> np.ndarray:
         """integral_0^r 2 s f(s) ds, exact per piece."""
@@ -538,13 +535,9 @@ class GeneralisedStretching:
         psi_r = self.profile.modulus_dot(r)
         kt = self.k * theta
         ck, sk = np.cos(kt), np.sin(kt)
-        # Du = d_r u (x, y)/r + (1/r) d_theta u (-y, x)/r
         ur = np.stack([psi_r * ck, psi_r * sk], axis=-1)
         ut = np.stack([-self.k * psi / r * sk, self.k * psi / r * ck], axis=-1)
-        out = np.empty(pts.shape[:-1] + (2, 2))
-        out[..., :, 0] = ur * (x / r)[..., None] + ut * (-y / r)[..., None]
-        out[..., :, 1] = ur * (y / r)[..., None] + ut * (x / r)[..., None]
-        return out
+        return polar_jacobian(pts, r, ur, ut)
 
     def as_planar_map(self, radius: float | None = None) -> PlanarMap:
         R = radius if radius is not None else self.profile.datum.support_radius
@@ -577,8 +570,6 @@ def stretching_jacobian_check(
     angles=(0.37, 2.1),
 ) -> float:
     """Max |J u - f| over the grid, with J computed by finite differences."""
-    from .geometry import det2
-
     radius_grid = np.asarray(radius_grid, dtype=float)
     rho = s.profile.rho(radius_grid)
     keep = rho > 1e-9 * max(float(np.max(rho)), 1e-300)

@@ -2,6 +2,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
+import pytest
+
+import pjac.constructions as constructions
+import pjac.radial as radial
 from pjac.cli import main
 
 
@@ -145,3 +150,64 @@ def test_moser_demo_trace(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "iter,max_residual,mass_error"
     assert len(lines) == 3  # initial row plus one iteration
+
+
+def test_bad_exponent_and_grid_exit_two_before_work(tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    monkeypatch.setattr(radial, "sobolev_energy_1d", no_work)
+    monkeypatch.setattr(constructions, "nonuniqueness_datum", no_work)
+    out = tmp_path / "never.csv"
+    for command in (["energy-gap", "--eps", "0.1"], ["nonuniqueness"]):
+        for flag in (["--p", "nan"], ["--p", "inf"], ["--p", "0.5"], ["--p", "x"],
+                     ["--grid", "0"], ["--grid", "-4"], ["--grid", "7"]):
+            argv = command + flag + ["--out", str(out)]
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert "Traceback" not in err and flag[0] in err, argv
+    assert not out.exists()
+
+
+def test_flags_a_subcommand_does_not_read_are_refused(tmp_path, capsys):
+    out = tmp_path / "never"
+    for argv in (
+        ["energy-gap", "--json"],
+        ["zhukovsky", "--json"],
+        ["zhukovsky", "--grid", "64"],
+        ["nonuniqueness", "--json"],
+        ["check-map", "--map", "eta", "--json"],
+        ["check-map", "--map", "eta", "--p", "2"],
+        ["moser-demo", "--grid", "64"],
+        ["moser-demo", "--p", "2"],
+    ):
+        assert main(argv + ["--out", str(out)]) == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_json_non_finite_number_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(radial, "truncated_derivative_energy",
+                        lambda profile, r_end, deltas: np.full(len(deltas), np.nan))
+    out = tmp_path / "n.json"
+    assert main(["nonuniqueness", "--grid", "32", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("pjac: numerical failure:") and "JSON" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["nonuniqueness", "--grid", "32"],
+    ["check-map", "--map", "eta"],
+    ["check-map", "--map", "shear"],
+    ["check-map", "--map", "wedge"],
+    ["check-map", "--map", "counterexample", "--grid", "32"],
+    ["moser-demo", "--json", "--iters", "1", "--resolution", "4"],
+], ids=lambda argv: "-".join(argv[:3]))
+def test_json_outputs_round_trip(tmp_path, argv):
+    rc, out = run_to_file(tmp_path, "o.json", argv)
+    assert rc == 0
+    text = out.read_text()
+    doc = json.loads(text)
+    assert isinstance(doc, dict) and doc
+    assert json.dumps(doc, indent=2, allow_nan=False) + "\n" == text

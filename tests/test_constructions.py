@@ -152,6 +152,35 @@ def test_wedge_rejects_far_outside_points():
         wmap(np.array([[0.2, 0.2]]))
 
 
+# -- branch tables of the shear and the wedge ------------------------------------
+
+# unit normal of each interface, from its left branch's side to its right one's
+_INTERFACE_NORMALS = {
+    "inner-top": (0.0, 1.0),
+    "inner-bottom": (0.0, -1.0),
+    "chord+x+y": (-1.0, 0.0),
+    "chord+x-y": (-1.0, 0.0),
+    "chord-x+y": (1.0, 0.0),
+    "chord-x-y": (1.0, 0.0),
+    "strip x=1": (1.0, 0.0),
+    "strip x=2": (1.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.3, 1.0])
+def test_interface_branches_match_map_evaluation(eps):
+    # just inside each side, that side's branch is bit for bit what the map
+    # itself evaluates: the continuity audit traces the formulas in use
+    t = (np.arange(400) + 0.5) / 400
+    for pmap in (shear_map(eps), wedge_map(eps)[0]):
+        assert pmap.interfaces
+        for iface in pmap.interfaces:
+            on = iface.curve(t)
+            step = 1e-9 * np.array(_INTERFACE_NORMALS[iface.label])
+            for branch, pts in ((iface.left, on - step), (iface.right, on + step)):
+                assert np.array_equal(branch(pts), pmap(pts)), (pmap.name, iface.label)
+
+
 # -- assembled counterexample ------------------------------------------------------
 
 
@@ -303,18 +332,6 @@ def test_phase_twisted_map_keeps_jacobian():
     datum, _ = nonuniqueness_datum()
     mx, _ = jacobian_residual(twisted, datum.as_field(), disc(1.8), n=2048, seed=7)
     assert mx < 1e-10
-
-
-def test_map_csv_export():
-    from pjac.constructions import map_to_csv
-
-    v = shear_map(0.5)
-    text = map_to_csv(v, v.domain, n=16)
-    lines = text.strip().splitlines()
-    assert lines[0] == "x,y,ux,uy,J"
-    assert len(lines) > 50
-    row = [float(tok) for tok in lines[1].split(",")]
-    assert len(row) == 5
 
 
 def test_rotated_family_energy_spread():

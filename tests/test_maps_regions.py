@@ -94,7 +94,7 @@ def test_reflect_rejects_incompatible_trace():
 
 def test_rotate_map_needs_symmetric_domain():
     half = PlanarMap(fn=lambda p: p, domain=disc(1.0, constraints=("x>0",)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rotate_map needs a rotation-invariant"):
         rotate_map(half, 0.3)
 
 

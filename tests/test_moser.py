@@ -13,7 +13,7 @@ from pjac.errors import (
 )
 from pjac.moser import (
     QuadDomain,
-    bogovskii_field,
+    VectorField,
     constant_jacobian_corrector,
     divergence_residual,
     moser_flow,
@@ -67,8 +67,8 @@ def test_bump_has_unit_mass():
 
 
 def test_bogovskii_zero_data_gives_zero_field():
-    field = bogovskii_field(lambda p: np.zeros(p.shape[:-1]), unit_square_domain(),
-                            n_panels=8, cache=8)
+    field = VectorField(lambda p: np.zeros(p.shape[:-1]), unit_square_domain(),
+                        n_panels=8, cache=8)
     pts = np.array([[0.3, 0.4], [0.7, 0.2], [0.5, 0.9]])
     assert np.array_equal(field.direct_eval(pts), np.zeros((3, 2)))
 
@@ -76,8 +76,8 @@ def test_bogovskii_zero_data_gives_zero_field():
 def test_bogovskii_square_divergence_residual():
     dom = unit_square_domain()
     h = lambda p: np.sin(2 * np.pi * p[..., 0]) * np.sin(np.pi * p[..., 1])  # noqa: E731
-    coarse = bogovskii_field(h, dom, n_panels=16)
-    fine = bogovskii_field(h, dom, n_panels=32)
+    coarse = VectorField(h, dom, n_panels=16)
+    fine = VectorField(h, dom, n_panels=32)
     mx_c, _ = divergence_residual(coarse, h, n_samples=40)
     mx_f, mean_f = divergence_residual(fine, h, n_samples=40)
     assert mx_f < 1e-2
@@ -89,7 +89,7 @@ def test_bogovskii_wedge_linear_data():
     _, xy, w = panel_nodes(dom, 24)
     xbar = float(np.sum(w * xy[:, 0]) / np.sum(w))
     h = lambda p: p[..., 0] - xbar  # noqa: E731
-    field = bogovskii_field(h, dom, n_panels=40)
+    field = VectorField(h, dom, n_panels=40)
     mx, mean = divergence_residual(field, h, n_samples=40)
     assert mean < 1e-2
     assert mx < 5e-2
@@ -99,7 +99,7 @@ def test_bogovskii_vanishes_on_and_outside_boundary():
     dom = wedge_domain()
     _, xy, w = panel_nodes(dom, 16)
     xbar = float(np.sum(w * xy[:, 0]) / np.sum(w))
-    field = bogovskii_field(lambda p: p[..., 0] - xbar, dom, n_panels=16)
+    field = VectorField(lambda p: p[..., 0] - xbar, dom, n_panels=16)
     outside = np.array([[0.1, 0.1], [3.0, 3.0], [-1.0, 0.5]])
     assert np.array_equal(field.direct_eval(outside), np.zeros((3, 2)))
     boundary = dom.boundary_points(16)
@@ -126,8 +126,8 @@ def _ray_integral_reference(field, x, y):
 
 
 def test_kernel_closed_form_matches_quadrature():
-    field = bogovskii_field(lambda p: np.zeros(p.shape[:-1]), unit_square_domain(),
-                            n_panels=4, cache=4)
+    field = VectorField(lambda p: np.zeros(p.shape[:-1]), unit_square_domain(),
+                        n_panels=4, cache=4)
     c, r = 0.5, 0.22  # star ball of the unit square
     # (x, y, whether the ray from y through x meets the ball beyond x)
     cases = [
@@ -163,7 +163,7 @@ def test_kernel_closed_form_matches_quadrature():
 def test_cached_eval_matches_componentwise_splines():
     dom = unit_square_domain()
     h = lambda p: np.sin(2 * np.pi * p[..., 0]) * np.sin(np.pi * p[..., 1])  # noqa: E731
-    field = bogovskii_field(h, dom, n_panels=8, cache=8)
+    field = VectorField(h, dom, n_panels=8, cache=8)
     grid = np.linspace(0.0, 1.0, 9)
     S, Q = np.meshgrid(grid, grid, indexing="ij")
     vals = field.direct_eval(dom.to_xy(S.ravel(), Q.ravel())).reshape(9, 9, 2)
@@ -217,8 +217,7 @@ def test_corrector_target_clamps_to_iterate_data_box(monkeypatch):
 
 def test_bogovskii_rejects_nonzero_mean():
     with pytest.raises(NonZeroMean):
-        bogovskii_field(lambda p: np.ones(p.shape[:-1]), unit_square_domain(),
-                        n_panels=8)
+        VectorField(lambda p: np.ones(p.shape[:-1]), unit_square_domain(), n_panels=8)
 
 
 # -- the flow -------------------------------------------------------------------

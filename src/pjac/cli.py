@@ -68,7 +68,14 @@ def _datum_from_name(name: str):
     if name == "annulus":
         return radial.annulus_indicator_datum(1.0, 2.0, 4.0 / 3.0)
     if name.startswith("power:"):
-        return radial.power_law_datum(float(name.split(":", 1)[1]))
+        try:
+            alpha = float(name.split(":", 1)[1])
+        except ValueError as exc:
+            raise ConfigError(f"bad power exponent in {name!r}") from exc
+        # alpha <= -2 leaves r f(r) non-integrable at the origin
+        if not -2.0 < alpha < math.inf:
+            raise ConfigError(f"power exponent must be finite and > -2 in {name!r}")
+        return radial.power_law_datum(alpha)
     raise ConfigError(f"unknown datum {name!r}")
 
 
@@ -246,13 +253,14 @@ def run_moser_demo(args) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _at_least(kind, low, what: str):
-    """argparse type: a finite ``kind`` value >= low; anything else exits 2."""
+def _within(kind, what: str, low, high=math.inf):
+    """argparse type: a finite ``kind`` value in [low, high]; anything else exits 2."""
 
     def parse(text: str):
         value = kind(text)
-        if not low <= value < math.inf:
-            raise argparse.ArgumentTypeError(f"{what} must be finite and >= {low}, not {text}")
+        if not (low <= value <= high and math.isfinite(value)):
+            bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"{what} must be finite and {bound}, not {text}")
         return value
 
     parse.__name__ = what  # argparse names the type in its own messages
@@ -261,10 +269,12 @@ def _at_least(kind, low, what: str):
 
 # flags that some subcommands read; the others do not take them
 _SHARED = {
-    "--p": dict(type=_at_least(float, 1.0, "exponent p"), default=1.0,
+    "--p": dict(type=_within(float, "exponent p", 1.0), default=1.0,
                 help="energy exponent (finite, >= 1)"),
-    "--grid": dict(type=_at_least(int, 8, "grid"), default=256,
+    "--grid": dict(type=_within(int, "grid", 8), default=256,
                    help="quadrature resolution (>= 8)"),
+    "--eps": dict(type=_within(float, "eps", 0.0, 1.0), default=0.5,
+                  help="construction parameter (in [0, 1])"),
 }
 
 
@@ -291,22 +301,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=3)
 
     p = command("zhukovsky", run_zhukovsky, "circle-energy comparison audit", "--p")
-    p.add_argument("--datum", default="uniform")
+    p.add_argument("--datum", default="uniform",
+                   help="uniform, gauss, annulus or power:ALPHA (finite ALPHA > -2)")
     p.add_argument("--competitor", default="phi2")
-    p.add_argument("--radii", type=int, default=32)
+    p.add_argument("--radii", type=_within(int, "radii", 1), default=32,
+                   help="number of audit circles (>= 1)")
 
     command("nonuniqueness", run_nonuniqueness, "balanced-datum construction report",
             "--p", "--grid")
 
     p = command("check-map", run_check_map, "continuity/Jacobian/isoperimetry audits",
-                "--grid")
+                "--grid", "--eps")
     p.add_argument("--map", required=True,
                    choices=("eta", "shear", "wedge", "counterexample"))
-    p.add_argument("--eps", type=float, default=0.5)
 
-    p = command("moser-demo", run_moser_demo, "constant-Jacobian corrector trace")
+    p = command("moser-demo", run_moser_demo, "constant-Jacobian corrector trace", "--eps")
     p.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
-    p.add_argument("--eps", type=float, default=0.5)
     p.add_argument("--iters", type=int, default=3)
     p.add_argument("--resolution", type=int, default=20)
 

@@ -23,7 +23,6 @@ from .errors import (
 from .geometry import cofactor, det2, polar_jacobian
 from .maps import Interface, PlanarMap, reflect_extend
 from .radial import (
-    AffineExpr,
     ConstExpr,
     GeneralisedStretching,
     Piece,
@@ -255,9 +254,6 @@ def shear_map(eps: float) -> PlanarMap:
 # wedge map of the quarter ring
 # ---------------------------------------------------------------------------
 
-WEDGE_VERTICES = ((2.0, 0.0), (3.0, 0.0), (0.0, 3.0), (0.0, 2.0))
-
-
 def _wedge_outside(pts: np.ndarray) -> np.ndarray:
     x, y = pts[..., 0], pts[..., 1]
     s = x + y
@@ -392,7 +388,7 @@ def corrected_wedge(eps: float, corrector) -> PlanarMap:
 # ---------------------------------------------------------------------------
 
 
-def layered_datum(eps: float, p: float = 1.0) -> RadialDatum:
+def layered_datum(eps: float) -> RadialDatum:
     """eps on B_1, 1 on the ring A(1,2), (6-eps)/5 on A(2,3); mean 1 on B_3.
 
     The mean is exact: (eps + 3 + (6 - eps)) / 9 = 1 for every eps.
@@ -405,7 +401,6 @@ def layered_datum(eps: float, p: float = 1.0) -> RadialDatum:
             Piece(1.0, 2.0, ConstExpr(1.0)),
             Piece(2.0, 3.0, ConstExpr((6.0 - eps) / 5.0)),
         ),
-        p=p,
         support_radius=3.0,
     )
 
@@ -419,12 +414,7 @@ def layered_profile(eps: float) -> GeneralisedStretching:
     return GeneralisedStretching(profile_from_datum(layered_datum(eps), 1))
 
 
-def assemble_counterexample(
-    eps: float,
-    corrector=None,
-    interface_tol: float = 1e-8,
-    n_interface: int = 512,
-) -> PlanarMap:
+def assemble_counterexample(eps: float, corrector=None) -> PlanarMap:
     """The identity-boundary competitor on B_3 with Jacobian close to the
     layered datum.
 
@@ -437,12 +427,12 @@ def assemble_counterexample(
     """
     chart = DiamondChart()
     vmap = shear_map(eps)
+    trace_tol = 1e-8  # largest trace gap allowed where the pieces meet
     if corrector is not None:
         wedge = corrected_wedge(eps, corrector)
-        trace_tol = max(interface_tol, 10.0 * corrector.boundary_displacement)
+        trace_tol = max(trace_tol, 10.0 * corrector.boundary_displacement)
     else:
         wedge, _ = wedge_map(eps)
-        trace_tol = interface_tol
     upper = reflect_extend(wedge, axes=("y",), trace_tol=trace_tol)
     ring = reflect_extend(upper, axes=("x",), trace_tol=trace_tol)
 
@@ -464,7 +454,7 @@ def assemble_counterexample(
     diamond_jac = by_part(vmap.jac, ring.jac, (2, 2))
 
     # audit the glue along the four edges of the diamond |w|_1 = 2
-    t = (np.arange(n_interface) + 0.5) / n_interface
+    t = (np.arange(512) + 0.5) / 512
     for sx in (1.0, -1.0):
         for sy in (1.0, -1.0):
             x = sx * 2.0 * t
@@ -547,7 +537,7 @@ class NonuniquenessReport:
     tail_value: float
 
 
-def nonuniqueness_datum(p: float = 1.0) -> tuple[RadialDatum, NonuniquenessReport]:
+def nonuniqueness_datum() -> tuple[RadialDatum, NonuniquenessReport]:
     """A C^1 radial datum: negative well, positive ring, balanced bridge.
 
     f < 0 on (0, 1), f > 0 on (1, 2), f = (4 - r)+ for r > 3, and both the
@@ -564,9 +554,9 @@ def nonuniqueness_datum(p: float = 1.0) -> tuple[RadialDatum, NonuniquenessRepor
             # quartic bridge in t = r - 2
             Piece(2.0, 3.0, PolyExpr(
                 coeffs=(1.0, 2.0, mu - 3.0, 1.0 - 2.0 * mu, mu), center=2.0)),
-            Piece(3.0, 4.0, AffineExpr(a=4.0, b=-1.0)),
+            # the tail 4 - r
+            Piece(3.0, 4.0, PolyExpr(coeffs=(4.0, -1.0))),
         ),
-        p=p,
         support_radius=4.0,
     )
 
@@ -616,7 +606,7 @@ def nonuniqueness_inner_profile() -> RadialProfile:
     diverges logarithmically there.
     """
     datum, _ = nonuniqueness_datum()
-    inner = RadialDatum(pieces=datum.pieces[:2], p=datum.p, support_radius=2.0)
+    inner = RadialDatum(pieces=datum.pieces[:2], support_radius=2.0)
     return profile_from_datum(inner, -1)
 
 

@@ -79,7 +79,6 @@ class QuadratureGrid:
     region: Region
     nodes: np.ndarray
     weights: np.ndarray
-    break_aligned: bool
 
     def check_area(self, rtol: float = 1e-10) -> bool:
         return abs(float(np.sum(self.weights)) - self.region.area()) <= rtol * self.region.area()
@@ -104,7 +103,7 @@ def build_grid(
         R, T = np.meshgrid(rs, ts, indexing="ij")
         nodes = np.stack([R * np.cos(T), R * np.sin(T)], axis=-1).reshape(-1, 2)
         weights = ((wr * rs)[:, None] * wt[None, :]).reshape(-1)
-        return QuadratureGrid(region, nodes, weights, True)
+        return QuadratureGrid(region, nodes, weights)
 
     if region.kind in ("l1_ball", "l1_annulus"):
         if region.constraints:
@@ -120,7 +119,7 @@ def build_grid(
         W = 0.5 * ws[:, None] * wt[None, :]
         keep = np.maximum(np.abs(S), np.abs(T)) > region.r_in
         nodes = np.stack([(S + T) / 2.0, (S - T) / 2.0], axis=-1)[keep]
-        return QuadratureGrid(region, nodes.reshape(-1, 2), W[keep].reshape(-1), True)
+        return QuadratureGrid(region, nodes.reshape(-1, 2), W[keep].reshape(-1))
 
     if region.kind == "polygon":
         return _polygon_grid(region, n)
@@ -166,7 +165,7 @@ def _polygon_grid(region: Region, n: int) -> QuadratureGrid:
     )
     nodes = np.einsum("qb,tbi->tqi", bary, tris).reshape(-1, 2)
     weights = (areas[:, None] * wb[None, :]).reshape(-1)
-    return QuadratureGrid(region, nodes, weights, True)
+    return QuadratureGrid(region, nodes, weights)
 
 
 @dataclass(frozen=True)
@@ -283,33 +282,31 @@ def zhukovsky_comparison(
     u: PlanarMap,
     p: float,
     radii,
-    n_theta: int = 2048,
-    check_jacobian: bool = True,
 ) -> tuple[list[ZhukovskyRow], float]:
     """Per-circle comparison of the symmetric stretching against a competitor.
 
     For each radius r: lhs is the circle energy of the degree-one stretching
     for the datum, rhs is Z(lambda*) times the circle energy of u.  When u
     solves the same Jacobian equation and satisfies the parametric
-    isoperimetric inequality, lhs <= rhs up to quadrature error.
+    isoperimetric inequality, lhs <= rhs up to quadrature error; a competitor
+    that does not solve it is refused before any circle energy.
     """
     radii = np.asarray(radii, dtype=float)
     report = condition_report(datum)
     if not math.isfinite(report.lambda_star):
         raise JacobianMismatch("datum has no finite lambda*; comparison undefined")
-    if check_jacobian:
-        shell = annulus(0.5 * float(np.min(radii)), float(np.max(radii)))
-        worst, _ = jacobian_residual(u, datum.as_field(), shell, n=2048, seed=0)
-        if worst >= 1e-3:
-            raise JacobianMismatch(
-                f"competitor violates the Jacobian constraint (max {worst:.3e})"
-            )
+    shell = annulus(0.5 * float(np.min(radii)), float(np.max(radii)))
+    worst, _ = jacobian_residual(u, datum.as_field(), shell, n=2048, seed=0)
+    if worst >= 1e-3:
+        raise JacobianMismatch(
+            f"competitor violates the Jacobian constraint (max {worst:.3e})"
+        )
     k = -1 if report.orientation == "nonpositive" else 1
     phi1 = GeneralisedStretching(profile_from_datum(datum, k)).as_planar_map()
     z = float(zhukovsky(report.lambda_star))
     rows = []
     for r in radii:
-        lhs = circle_energy(phi1, p, float(r), n=n_theta)
-        rhs = z * circle_energy(u, p, float(r), n=n_theta)
+        lhs = circle_energy(phi1, p, float(r), n=2048)
+        rhs = z * circle_energy(u, p, float(r), n=2048)
         rows.append(ZhukovskyRow(r=float(r), lhs=lhs, rhs=rhs, ratio=lhs / rhs))
     return rows, report.lambda_star

@@ -135,12 +135,12 @@ def _mask_near_curve(verts: np.ndarray, xs: np.ndarray, ys: np.ndarray,
     return mask
 
 
-def winding_field(curve: ImageCurve, resolution: int = 512,
-                  inflate: float = 0.1) -> WindingField:
-    """Winding numbers of the curve on a grid over its inflated bounding box."""
+def winding_field(curve: ImageCurve, resolution: int = 512) -> WindingField:
+    """Winding numbers of the curve on a grid over its bounding box, inflated
+    by a tenth of its extent on each side."""
     verts = curve.vertices
     lo, hi = verts.min(axis=0), verts.max(axis=0)
-    pad = inflate * np.maximum(hi - lo, 1e-12)
+    pad = 0.1 * np.maximum(hi - lo, 1e-12)
     lo, hi = lo - pad, hi + pad
     xs = lo[0] + (np.arange(resolution) + 0.5) * (hi[0] - lo[0]) / resolution
     ys = lo[1] + (np.arange(resolution) + 0.5) * (hi[1] - lo[1]) / resolution
@@ -190,8 +190,7 @@ class IsoperimetricResult:
     equality: bool
 
 
-def isoperimetric_check(curve: ImageCurve, area_from_jacobian: float,
-                        tol: float = 1e-3) -> IsoperimetricResult:
+def isoperimetric_check(curve: ImageCurve, area_from_jacobian: float) -> IsoperimetricResult:
     """Check 4 pi * area <= length^2 and detect the equality case.
 
     Equality is flagged only when the ratio is within tol of 1 AND the
@@ -199,6 +198,7 @@ def isoperimetric_check(curve: ImageCurve, area_from_jacobian: float,
     about the fitted centre is +-1; the ratio alone cannot distinguish a
     circle traversed once from a near-circle at finite sampling.
     """
+    tol = 1e-3
     length = curve_length(curve)
     lhs = 4.0 * math.pi * area_from_jacobian
     rhs = length * length

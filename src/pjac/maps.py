@@ -133,15 +133,14 @@ def _mirrored_domain(domain: Region, axes: tuple) -> Region:
     return replace(domain, constraints=kept)
 
 
-def reflect_extend(u: PlanarMap, axes: tuple = ("x", "y"), trace_tol: float = 1e-8,
-                   n_trace: int = 512) -> PlanarMap:
+def reflect_extend(u: PlanarMap, axes: tuple = ("x", "y"), trace_tol: float = 1e-8) -> PlanarMap:
     """Extend a quadrant or half-plane map by odd/even reflections.
 
     Across the x axis the extension is (u1(x,-y), -u2(x,-y)); across the y
     axis it is (-u1(-x,y), u2(-x,y)).  Both reflections have determinant -1
     on source and target, so the composition preserves the Jacobian.  The
     glued map is continuous iff the relevant component vanishes on the axis;
-    that trace is checked on n_trace samples and IncompatibleTrace is raised
+    that trace is checked on 512 samples and IncompatibleTrace is raised
     above trace_tol.
     """
     if not set(axes) <= {"x", "y"}:
@@ -151,11 +150,11 @@ def reflect_extend(u: PlanarMap, axes: tuple = ("x", "y"), trace_tol: float = 1e
     for ax in axes:
         # sample the axis segment adjacent to the existing domain
         if ax == "x":  # reflection across y = 0 needs u2 = 0 there
-            span = np.linspace(lo[0], hi[0], n_trace + 2)[1:-1]
+            span = np.linspace(lo[0], hi[0], 514)[1:-1]
             pts = np.stack([span, np.zeros_like(span)], axis=-1)
             comp = 1
         else:  # reflection across x = 0 needs u1 = 0 there
-            span = np.linspace(lo[1], hi[1], n_trace + 2)[1:-1]
+            span = np.linspace(lo[1], hi[1], 514)[1:-1]
             pts = np.stack([np.zeros_like(span), span], axis=-1)
             comp = 0
         eps = 1e-9 * max(1.0, float(np.max(np.abs(hi - lo))))

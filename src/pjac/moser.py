@@ -23,10 +23,11 @@ interpolated with one bicubic vector-valued spline for flow use; direct
 (non-cached) evaluation remains available for divergence checks.
 
 Cost per evaluation point: a direct evaluation sums (4 N)^2 far-field kernel
-terms over the panel nodes (N = ``n_panels``) plus ``n_phi * n_u`` near-field
-terms, each a few dozen flops with no inner quadrature, and calls ``h`` at
-the near-field nodes; a cached evaluation is one chart inversion and one
-spline query that shares the B-spline basis between both components.
+terms over the panel nodes (N = ``n_panels``) plus 48 x 14 near-field terms
+(midpoint angles times Gauss-Legendre radii), each a few dozen flops with no
+inner quadrature, and calls ``h`` at the near-field nodes; a cached
+evaluation is one chart inversion and one spline query that shares the
+B-spline basis between both components.
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ from .geometry import det2
 
 _GL4 = np.polynomial.legendre.leggauss(4)
 _ESCAPE_TOL = 5e-4  # chart units
+_STEPS = 64  # RK4 steps of one flow, doubled on each retry after an escape
+# near-field rule: midpoint angles times Gauss-Legendre radii per angle
+_N_PHI = 48
+_U_GL = np.polynomial.legendre.leggauss(14)
 
 
 def _cross(u, v):
@@ -251,23 +256,19 @@ class VectorField:
     grid computed once per field.
 
     Cost: ``direct_eval`` is a Python loop over points, each point one pass
-    over the 16 n_panels^2 panel nodes and the n_phi * n_u polar nodes, about
+    over the 16 n_panels^2 panel nodes and the 48 x 14 polar nodes, about
     0.7-1.1 ms at the defaults on a 2-core Xeon host; ``eval`` builds the
     cache once, (cache + 1)^2 direct evaluations, then costs one vector
     spline query per point.
     """
 
-    def __init__(self, h, domain: QuadDomain, n_panels: int = 20,
-                 cache: int = 48, mean_tol: float = 1e-8,
-                 cutoff_panels: float = 2.5, n_phi: int = 48, n_u: int = 14):
+    def __init__(self, h, domain: QuadDomain, n_panels: int = 20, cache: int = 48):
         self.domain = domain
         self.h = h
         self.n_panels = n_panels
-        # cutoff radius in chart units: a few panels wide, so the mollified
+        # cutoff radius in chart units: 2.5 panels wide, so the mollified
         # far part stays resolvable by the (equally anisotropic) panel grid
-        self._delta = cutoff_panels / n_panels
-        self._n_phi = n_phi
-        self._u_gl = np.polynomial.legendre.leggauss(n_u)
+        self._delta = 2.5 / n_panels
         self._bump = _Bump(
             center=np.asarray(domain.star_center, dtype=float),
             radius=float(domain.star_radius),
@@ -282,7 +283,7 @@ class VectorField:
 
         total = float(np.sum(self._w * self._hy))
         scale = float(np.sum(self._w * np.abs(self._hy)))
-        if abs(total) > mean_tol * max(1.0, scale):
+        if abs(total) > 1e-8 * max(1.0, scale):
             raise NonZeroMean(f"divergence data has mean {total:.3e}")
 
         self._cache_n = cache
@@ -343,8 +344,8 @@ class VectorField:
         square per angle, so the integrand never jumps at the boundary.
         """
         delta = self._delta
-        phi = (np.arange(self._n_phi) + 0.5) * (2 * np.pi / self._n_phi)
-        wphi = 2 * np.pi / self._n_phi
+        phi = (np.arange(_N_PHI) + 0.5) * (2 * np.pi / _N_PHI)
+        wphi = 2 * np.pi / _N_PHI
         cs, sn = np.cos(phi), np.sin(phi)
         with np.errstate(divide="ignore"):
             rs = np.where(cs > 1e-12, (1.0 - s_star) / cs,
@@ -352,7 +353,7 @@ class VectorField:
             rq = np.where(sn > 1e-12, (1.0 - q_star) / sn,
                           np.where(sn < -1e-12, -q_star / sn, np.inf))
         R = np.maximum(np.minimum(delta, np.minimum(rs, rq)), 0.0)
-        ug, wu = self._u_gl
+        ug, wu = _U_GL
         us = 0.5 * R[:, None] * (ug[None, :] + 1.0)
         ws = 0.5 * R[:, None] * wu[None, :]
         ss = s_star + us * cs[:, None]
@@ -405,12 +406,11 @@ class VectorField:
         return out.reshape(pts.shape)
 
 
-def divergence_residual(field: VectorField, h, n_samples: int = 100,
-                        margin: float = 0.08, seed: int = 0,
-                        fd_frac: float = 5e-3) -> tuple[float, float]:
-    """(max, mean) of |div xi - h| by central differences of direct_eval."""
-    pts = _interior_samples(field.domain, 4 * n_samples, margin, seed)[:n_samples]
-    step = fd_frac * field.domain.scale()
+def divergence_residual(field: VectorField, h, n_samples: int = 100) -> tuple[float, float]:
+    """(max, mean) of |div xi - h| by central differences of direct_eval,
+    at samples 8% of the chart away from its boundary."""
+    pts = _interior_samples(field.domain, n_samples, 0.08)
+    step = 5e-3 * field.domain.scale()
     ex = np.array([step, 0.0])
     ey = np.array([0.0, step])
     div = (
@@ -433,14 +433,13 @@ class MoserCorrector:
     domain: QuadDomain
     g: object
     field: VectorField
-    steps: int
     residual_max: float = math.nan
     residual_mean: float = math.nan
     mass_error: float = math.nan
     boundary_displacement: float = math.nan
 
     def sigma(self, pts) -> np.ndarray:
-        return _flow(self.field, self.g, np.asarray(pts, dtype=float), self.steps)
+        return _flow(self.field, self.g, np.asarray(pts, dtype=float), _STEPS)
 
     def jacobian(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
@@ -503,7 +502,7 @@ def _interior_samples(domain: QuadDomain, n: int, margin: float = 0.04,
 
 
 def moser_flow(g, domain: QuadDomain, n_panels: int = 20, cache: int = 48,
-               steps: int = 64, n_check: int = 160) -> MoserCorrector:
+               n_check: int = 160) -> MoserCorrector:
     """Flow correction sigma with J sigma approximately g on the domain.
 
     ``g`` must be strictly positive with integral equal to the domain area
@@ -536,7 +535,7 @@ def moser_flow(g, domain: QuadDomain, n_panels: int = 20, cache: int = 48,
         n_panels=n_panels,
         cache=cache,
     )
-    corr = MoserCorrector(domain=domain, g=g_norm, field=field, steps=steps)
+    corr = MoserCorrector(domain=domain, g=g_norm, field=field)
 
     # residual report: J sigma vs g at interior samples, mass, boundary drift
     pts = _interior_samples(domain, n_check)
@@ -574,7 +573,6 @@ def constant_jacobian_corrector(
     iterations: int = 3,
     n_panels: int = 20,
     cache: int = 48,
-    steps: int = 64,
     n_check: int = 160,
     seed: int = 0,
 ) -> tuple[MoserCorrector, list[CorrectorTraceRow]]:
@@ -616,8 +614,7 @@ def constant_jacobian_corrector(
                 moved = _spline(np.clip(np.stack([s, q], axis=-1), grid[0], grid[-1]))
                 return c / np.asarray(jdet(moved), dtype=float).reshape(pts.shape[:-1])
 
-        corr = moser_flow(g_n, domain, n_panels=n_panels, cache=cache,
-                          steps=steps, n_check=n_check)
+        corr = moser_flow(g_n, domain, n_panels=n_panels, cache=cache, n_check=n_check)
 
         moved = corr.sigma(samples)
         comp = np.asarray(jdet(moved), dtype=float) * corr.jacobian_det(samples)

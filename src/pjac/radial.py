@@ -35,7 +35,7 @@ from .maps import PlanarMap
 from .regions import disc
 
 # ---------------------------------------------------------------------------
-# expression grammar: const | indicator | power | affine | poly | gauss
+# expression grammar: const | power | poly | gauss
 # ---------------------------------------------------------------------------
 
 
@@ -55,23 +55,6 @@ class ConstExpr:
 
     def to_dict(self):
         return {"kind": "const", "c": self.c}
-
-
-@dataclass(frozen=True)
-class IndicatorExpr:
-    """Constant 1 on its piece (the piece interval is the indicator set)."""
-
-    def value(self, r):
-        return np.ones_like(np.asarray(r, dtype=float))
-
-    def deriv(self, r):
-        return np.zeros_like(np.asarray(r, dtype=float))
-
-    def mass_antideriv(self, r):
-        return np.asarray(r, dtype=float) ** 2
-
-    def to_dict(self):
-        return {"kind": "indicator"}
 
 
 @dataclass(frozen=True)
@@ -97,27 +80,6 @@ class PowerExpr:
 
     def to_dict(self):
         return {"kind": "power", "c": self.c, "alpha": self.alpha}
-
-
-@dataclass(frozen=True)
-class AffineExpr:
-    """a + b * r."""
-
-    a: float
-    b: float
-
-    def value(self, r):
-        return self.a + self.b * np.asarray(r, dtype=float)
-
-    def deriv(self, r):
-        return np.full_like(np.asarray(r, dtype=float), self.b)
-
-    def mass_antideriv(self, r):
-        r = np.asarray(r, dtype=float)
-        return self.a * r**2 + (2.0 * self.b / 3.0) * r**3
-
-    def to_dict(self):
-        return {"kind": "affine", "a": self.a, "b": self.b}
 
 
 @dataclass(frozen=True)
@@ -180,9 +142,7 @@ class GaussExpr:
 
 _EXPR_KINDS = {
     "const": lambda d: ConstExpr(c=float(d["c"])),
-    "indicator": lambda d: IndicatorExpr(),
     "power": lambda d: PowerExpr(c=float(d["c"]), alpha=float(d["alpha"])),
-    "affine": lambda d: AffineExpr(a=float(d["a"]), b=float(d["b"])),
     "poly": lambda d: PolyExpr(
         coeffs=tuple(float(c) for c in d["coeffs"]),
         center=float(d.get("center", 0.0)),
@@ -215,17 +175,13 @@ class RadialDatum:
     """A radially symmetric scalar function of radius, piecewise analytic.
 
     ``pieces`` partition [0, support_radius); f is identically zero beyond
-    support_radius.  ``p`` tags the integrability exponent the datum is meant
-    to live in.
+    support_radius.
     """
 
     pieces: tuple
-    p: float = 1.0
     support_radius: float = math.inf
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("integrability exponent must be >= 1")
         ps = tuple(self.pieces)
         if not ps or ps[0].r_min != 0.0:
             raise ValueError("pieces must start at r = 0")
@@ -284,15 +240,6 @@ class RadialDatum:
                 )
         return out
 
-    def mean_over_ball(self, r) -> np.ndarray:
-        """Average of f over the disc of radius r: cumulative(r) / r^2."""
-        r = np.asarray(r, dtype=float)
-        return self.cumulative(r) / r**2
-
-    def total_mass(self) -> float:
-        """integral over the plane, i.e. pi * cumulative(support_radius)."""
-        return math.pi * self._mass_at_start[-1]
-
     def breakpoints(self) -> np.ndarray:
         return np.array(self._edges)
 
@@ -309,7 +256,6 @@ class RadialDatum:
 
     def to_dict(self) -> dict:
         return {
-            "p": self.p,
             "support_radius": self.support_radius,
             "pieces": [
                 {"r_min": pc.r_min, "r_max": pc.r_max, "expr": pc.expr.to_dict()}
@@ -328,7 +274,6 @@ class RadialDatum:
         )
         return RadialDatum(
             pieces=pieces,
-            p=float(d.get("p", 1.0)),
             support_radius=float(d.get("support_radius", pieces[-1].r_max)),
         )
 
@@ -337,15 +282,14 @@ class RadialDatum:
         return RadialDatum.from_dict(json.loads(text))
 
 
-def uniform_datum(value: float = 1.0, radius: float = 3.0, p: float = 1.0) -> RadialDatum:
+def uniform_datum(value: float = 1.0, radius: float = 3.0) -> RadialDatum:
     return RadialDatum(
         pieces=(Piece(0.0, float(radius), ConstExpr(float(value))),),
-        p=p,
         support_radius=float(radius),
     )
 
 
-def power_law_datum(eps: float, p: float = 1.0) -> RadialDatum:
+def power_law_datum(eps: float) -> RadialDatum:
     """c r^eps on the unit disc with c = 2/(2+eps), so the disc average is 1.
 
     The pointwise/average ratio is constant: f(r) = (2+eps)/2 times the mean
@@ -354,28 +298,24 @@ def power_law_datum(eps: float, p: float = 1.0) -> RadialDatum:
     c = 2.0 / (2.0 + eps)
     return RadialDatum(
         pieces=(Piece(0.0, 1.0, PowerExpr(c=c, alpha=float(eps))),),
-        p=p,
         support_radius=1.0,
     )
 
 
-def truncated_gaussian_datum(sigma: float = 1.0, radius: float = 2.5, p: float = 1.0) -> RadialDatum:
+def truncated_gaussian_datum(sigma: float = 1.0, radius: float = 2.5) -> RadialDatum:
     return RadialDatum(
         pieces=(Piece(0.0, float(radius), GaussExpr(c=1.0, sigma=float(sigma))),),
-        p=p,
         support_radius=float(radius),
     )
 
 
-def annulus_indicator_datum(r_in: float, r_out: float, value: float = 1.0,
-                            p: float = 1.0) -> RadialDatum:
+def annulus_indicator_datum(r_in: float, r_out: float, value: float = 1.0) -> RadialDatum:
     """value on the annulus r_in < r < r_out, zero elsewhere."""
     return RadialDatum(
         pieces=(
             Piece(0.0, float(r_in), ConstExpr(0.0)),
             Piece(float(r_in), float(r_out), ConstExpr(float(value))),
         ),
-        p=p,
         support_radius=float(r_out),
     )
 
@@ -387,12 +327,10 @@ def dilate_datum(d: RadialDatum, t: float) -> RadialDatum:
     out = []
     for pc in d.pieces:
         e = pc.expr
-        if isinstance(e, (ConstExpr, IndicatorExpr)):
+        if isinstance(e, ConstExpr):
             new = e
         elif isinstance(e, PowerExpr):
             new = PowerExpr(c=e.c * t ** (-e.alpha), alpha=e.alpha)
-        elif isinstance(e, AffineExpr):
-            new = AffineExpr(a=e.a, b=e.b / t)
         elif isinstance(e, PolyExpr):
             new = PolyExpr(
                 coeffs=tuple(c / t**j for j, c in enumerate(e.coeffs)),
@@ -403,15 +341,14 @@ def dilate_datum(d: RadialDatum, t: float) -> RadialDatum:
         else:
             raise ValueError(f"cannot dilate {e!r}")
         out.append(Piece(pc.r_min * t, pc.r_max * t, new))
-    return RadialDatum(pieces=tuple(out), p=d.p, support_radius=d.support_radius * t)
+    return RadialDatum(pieces=tuple(out), support_radius=d.support_radius * t)
 
 
 # ---------------------------------------------------------------------------
 # stretching profiles
 # ---------------------------------------------------------------------------
 
-_CLAMP = 1e-12   # mass this slightly negative is treated as roundoff
-_FAIL = 1e-6     # mass this negative is a genuine orientation violation
+_FAIL = 1e-6  # mass this negative is a genuine orientation violation
 
 
 @dataclass(frozen=True)
@@ -465,10 +402,10 @@ class RadialProfile:
     def modulus_dot(self, r) -> np.ndarray:
         return self.rho_dot(r) / math.sqrt(abs(self.k))
 
-    def vanishing_radii(self, n_scan: int = 4096) -> np.ndarray:
+    def vanishing_radii(self) -> np.ndarray:
         """Radii where rho hits zero (detected on a scan of the support)."""
         R = self.datum.support_radius
-        grid = np.linspace(0.0, R, n_scan + 1)
+        grid = np.linspace(0.0, R, 4097)
         rho = self.rho(grid)
         scale = max(float(np.max(rho)), 1e-300)
         small = rho <= 1e-9 * scale
@@ -486,7 +423,7 @@ class RadialProfile:
         return np.array(out)
 
 
-def profile_from_datum(datum: RadialDatum, k: int, n_check: int = 2048) -> RadialProfile:
+def profile_from_datum(datum: RadialDatum, k: int) -> RadialProfile:
     """Build the degree-k profile, checking the orientation condition.
 
     cumulative / k must be nonnegative (up to roundoff) on a log-spaced check
@@ -497,7 +434,7 @@ def profile_from_datum(datum: RadialDatum, k: int, n_check: int = 2048) -> Radia
         raise ValueError("degree k must be nonzero")
     R = datum.support_radius
     grid = np.concatenate(
-        [datum.breakpoints(), np.geomspace(1e-6 * R, R, n_check)]
+        [datum.breakpoints(), np.geomspace(1e-6 * R, R, 2048)]
     )
     signed = datum.cumulative(grid) / k
     worst = float(np.min(signed))
@@ -567,7 +504,6 @@ def stretching_jacobian_check(
     s: GeneralisedStretching,
     datum: RadialDatum,
     radius_grid,
-    angles=(0.37, 2.1),
 ) -> float:
     """Max |J u - f| over the grid, with J computed by finite differences."""
     radius_grid = np.asarray(radius_grid, dtype=float)
@@ -576,7 +512,7 @@ def stretching_jacobian_check(
     rs = radius_grid[keep]
     worst = 0.0
     pmap = s.as_planar_map(radius=float(np.max(radius_grid)) * 1.001)
-    for a in angles:
+    for a in (0.37, 2.1):
         pts = np.stack([rs * np.cos(a), rs * np.sin(a)], axis=-1)
         jac = det2(pmap.jacobian_fd(pts))
         worst = max(worst, float(np.max(np.abs(jac - datum.f(rs)), initial=0.0)))
@@ -588,14 +524,12 @@ def stretching_jacobian_check(
 # ---------------------------------------------------------------------------
 
 
-def _window_refine(integrand, a, b, singular_lo, singular_hi,
-                   rel_tol=1e-9, div_threshold=0.5):
+def _window_refine(integrand, a, b, singular_lo, singular_hi):
     """Integrate over (a, b), shrinking cutoffs at singular endpoints.
 
-    Returns math.inf when halving the cutoff keeps adding more than
-    ``div_threshold`` per halving without any sign of saturation; this targets
-    logarithmic blow-up, where the per-halving increment is asymptotically
-    constant.
+    Returns math.inf when halving the cutoff keeps adding more than 0.5 per
+    halving without any sign of saturation; this targets logarithmic blow-up,
+    where the per-halving increment is asymptotically constant.
     """
     length = b - a
     d0 = 1e-3 * length
@@ -615,12 +549,12 @@ def _window_refine(integrand, a, b, singular_lo, singular_hi,
                 inc = quad(integrand, b - delta, b - new, limit=200)[0]
             total += inc
             delta = new
-            if inc < rel_tol * max(1.0, abs(total)):
+            if inc < 1e-9 * max(1.0, abs(total)):
                 break
             prev_inc = inc
         else:
             # cutoff floor reached with increments still above threshold
-            if prev_inc is not None and prev_inc > div_threshold:
+            if prev_inc is not None and prev_inc > 0.5:
                 return math.inf
     return total
 

@@ -169,6 +169,40 @@ def test_bad_exponent_and_grid_exit_two_before_work(tmp_path, monkeypatch, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["zhukovsky", "--datum", "power:-2"],
+    ["zhukovsky", "--datum", "power:-3.5"],
+    ["zhukovsky", "--datum", "power:abc"],
+    ["zhukovsky", "--datum", "power:nan"],
+    ["zhukovsky", "--datum", "power:inf"],
+    ["zhukovsky", "--radii", "0"],
+    ["zhukovsky", "--radii", "-3"],
+    ["check-map", "--map", "wedge", "--eps", "2"],
+    ["check-map", "--map", "shear", "--eps", "nan"],
+    ["check-map", "--map", "counterexample", "--eps", "-0.1"],
+    ["moser-demo", "--eps", "2"],
+    ["moser-demo", "--eps", "inf"],
+], ids=lambda argv: "_".join(argv))
+def test_out_of_range_inputs_exit_two_before_work(tmp_path, monkeypatch, capsys, argv):
+    import pjac.energy as energy
+    import pjac.moser as moser
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    for owner, name in ((radial, "power_law_datum"), (energy, "zhukovsky_comparison"),
+                        (constructions, "shear_map"), (constructions, "wedge_map"),
+                        (constructions, "assemble_counterexample"),
+                        (moser, "constant_jacobian_corrector")):
+        monkeypatch.setattr(owner, name, no_work)
+    out = tmp_path / "never"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "numerical failure" not in err
+    assert argv[-1] in err
+    assert not out.exists()
+
+
 def test_flags_a_subcommand_does_not_read_are_refused(tmp_path, capsys):
     out = tmp_path / "never"
     for argv in (

@@ -12,11 +12,9 @@ from pjac.errors import (
     PreconditionViolated,
 )
 from pjac.radial import (
-    AffineExpr,
     ConstExpr,
     GaussExpr,
     GeneralisedStretching,
-    IndicatorExpr,
     Piece,
     PolyExpr,
     PowerExpr,
@@ -25,6 +23,7 @@ from pjac.radial import (
     condition_report,
     dilate_datum,
     energy_split,
+    expr_from_dict,
     power_law_datum,
     profile_from_datum,
     sobolev_energy_1d,
@@ -50,13 +49,15 @@ def test_cumulative_against_quadrature_oracle():
         pieces=(
             Piece(0.0, 1.0, PolyExpr(coeffs=(0.5, 1.0, -0.25))),
             Piece(1.0, 2.5, GaussExpr(c=2.0, sigma=0.8)),
+            Piece(2.5, 3.0, ConstExpr(1.0)),
+            Piece(3.0, 4.0, PolyExpr(coeffs=(4.0, -1.0))),
         ),
-        support_radius=2.5,
+        support_radius=4.0,
     )
-    for r in (0.3, 1.0, 1.7, 2.4):
+    for r in (0.3, 1.0, 1.7, 2.4, 2.8, 3.6, 4.0):
         oracle = quad(
-            lambda s: 2 * s * float(d.f(np.array([s]))[0]), 0.0, r, points=[1.0],
-            limit=200,
+            lambda s: 2 * s * float(d.f(np.array([s]))[0]), 0.0, r,
+            points=[1.0, 2.5, 3.0], limit=200,
         )[0]
         assert abs(float(d.cumulative(np.array([r]))[0]) - oracle) < 1e-10
 
@@ -73,13 +74,12 @@ def test_datum_validation():
 def test_json_round_trip_bit_exact():
     d = RadialDatum(
         pieces=(
-            Piece(0.0, 0.1 + 0.2, IndicatorExpr()),
+            Piece(0.0, 0.1 + 0.2, ConstExpr(1.0)),
             Piece(0.1 + 0.2, 1.0, PowerExpr(c=2 / 3, alpha=0.1)),
-            Piece(1.0, 2.0, AffineExpr(a=4.0, b=-1 / 3)),
+            Piece(1.0, 2.0, PolyExpr(coeffs=(4.0, -1 / 3))),
             Piece(2.0, 3.0, PolyExpr(coeffs=(1.0, -2.0, 1 / 7), center=2.0)),
             Piece(3.0, 4.0, GaussExpr(c=0.3, sigma=1.1)),
         ),
-        p=2.0,
         support_radius=4.0,
     )
     text = d.to_json()
@@ -90,6 +90,13 @@ def test_json_round_trip_bit_exact():
     r = np.linspace(0, 4, 777)
     assert np.array_equal(back.f(r), d.f(r))
     assert np.array_equal(back.cumulative(r), d.cumulative(r))
+
+
+@pytest.mark.parametrize("doc", [{"kind": "affine", "a": 4.0, "b": -1.0},
+                                 {"kind": "indicator"}])
+def test_retired_expression_kinds_are_refused(doc):
+    with pytest.raises(ValueError, match="unknown expression"):
+        expr_from_dict(doc)
 
 
 # -- profiles ----------------------------------------------------------------
@@ -330,7 +337,7 @@ def test_gradient_norm_bounded_by_datum_norm():
         uniform_datum(2.0, 1.5),
         truncated_gaussian_datum(1.0, 2.5),
         truncated_gaussian_datum(0.6, 2.0),
-        RadialDatum(pieces=(Piece(0.0, 2.0, AffineExpr(a=1.0, b=-0.3)),),
+        RadialDatum(pieces=(Piece(0.0, 2.0, PolyExpr(coeffs=(1.0, -0.3))),),
                     support_radius=2.0),
     ]
     C = 4.0

@@ -30,7 +30,7 @@ from .radial import (
     uniform_datum,
     zhukovsky,
 )
-from .regions import Region, annulus, convex_polygon, disc, l1_annulus, l1_ball
+from .regions import Region, annulus, disc, l1_annulus, l1_ball
 from .energy import (
     EnergyReport,
     QuadratureGrid,

@@ -4,7 +4,7 @@ Subcommands: energy-gap, zhukovsky, nonuniqueness, check-map, moser-demo.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 Outputs are written atomically (temp file + rename) so a failed run never
 leaves a partial table behind; identical config + seed gives identical bytes.
-JSON refuses non-finite numbers (allow_nan=False), which exit 3.
+CSV and JSON refuse non-finite numbers, which exit 3.
 """
 
 from __future__ import annotations
@@ -26,12 +26,11 @@ from .radial import GeneralisedStretching, profile_from_datum
 from .regions import disc
 
 
-class ConfigError(Exception):
-    pass
-
-
 def _fmt(x) -> str:
-    return f"{float(x):.17g}"
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {x} in a CSV table")
+    return f"{x:.17g}"
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -50,38 +49,7 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _parse_eps_list(text: str) -> list[float]:
-    try:
-        values = [float(tok) for tok in text.split(",") if tok]
-    except ValueError as exc:
-        raise ConfigError(f"bad epsilon list {text!r}") from exc
-    if not values:
-        raise ConfigError("empty epsilon list")
-    return values
-
-
-def _datum_from_name(name: str):
-    if name == "uniform":
-        return radial.uniform_datum(1.0, 3.0)
-    if name == "gauss":
-        return radial.truncated_gaussian_datum(1.0, 2.5)
-    if name == "annulus":
-        return radial.annulus_indicator_datum(1.0, 2.0, 4.0 / 3.0)
-    if name.startswith("power:"):
-        try:
-            alpha = float(name.split(":", 1)[1])
-        except ValueError as exc:
-            raise ConfigError(f"bad power exponent in {name!r}") from exc
-        # alpha <= -2 leaves r f(r) non-integrable at the origin
-        if not -2.0 < alpha < math.inf:
-            raise ConfigError(f"power exponent must be finite and > -2 in {name!r}")
-        return radial.power_law_datum(alpha)
-    raise ConfigError(f"unknown datum {name!r}")
-
-
 def _competitor_from_name(name: str, datum):
-    if name not in ("phi1", "phi2", "phi3", "rot-phi1"):
-        raise ConfigError(f"unknown competitor {name!r}")
     phi = GeneralisedStretching(profile_from_datum(datum, int(name[-1]))).as_planar_map()
     return rotate_map(phi, 0.7) if name == "rot-phi1" else phi
 
@@ -92,14 +60,9 @@ def _competitor_from_name(name: str, datum):
 
 
 def run_energy_gap(args) -> str:
-    if args.corrector == "on" and args.iters < 1:
-        raise ConfigError("--corrector on needs --iters >= 1")
-    eps_list = _parse_eps_list(args.eps)
-    if any(not 0.0 < e <= 1.0 for e in eps_list):
-        raise ConfigError("energy-gap needs epsilons in (0, 1]")
     corrector = None
     rows = ["epsilon,p,E_radial,E_competitor,ratio"]
-    for eps in eps_list:
+    for eps in args.eps:
         stretch = constructions.layered_profile(eps)
         e_radial = radial.sobolev_energy_1d(stretch, args.p, 3.0)
         if args.corrector == "on":
@@ -116,7 +79,7 @@ def run_energy_gap(args) -> str:
 
 
 def run_zhukovsky(args) -> str:
-    datum = _datum_from_name(args.datum)
+    datum = args.datum
     competitor = _competitor_from_name(args.competitor, datum)
     R = datum.support_radius
     radii = np.linspace(0.08 * R, 0.94 * R, args.radii)
@@ -215,16 +178,10 @@ def run_check_map(args) -> str:
                  "holds": result.holds, "equality": result.equality}
             )
         doc["isoperimetry"] = iso
-    else:
-        raise ConfigError(f"unknown map {args.map!r}")
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def run_moser_demo(args) -> str:
-    if args.iters < 1:
-        raise ConfigError("moser-demo needs --iters >= 1")
-    if args.resolution < 2:
-        raise ConfigError("moser-demo needs --resolution >= 2")
     _, jdet = constructions.wedge_map(args.eps)
     corrector, trace = moser.constant_jacobian_corrector(
         jdet,
@@ -267,6 +224,38 @@ def _within(kind, what: str, low, high=math.inf):
     return parse
 
 
+def _eps_list(text: str) -> list[float]:
+    """argparse type: a comma-separated list of epsilons in (0, 1]."""
+    try:
+        values = [float(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        values = []
+    if not values or not all(0.0 < e <= 1.0 for e in values):
+        raise argparse.ArgumentTypeError(f"need epsilons in (0, 1], not {text!r}")
+    return values
+
+
+def _datum(name: str):
+    """argparse type: the radial datum named uniform, gauss, annulus or power:ALPHA."""
+    if name == "uniform":
+        return radial.uniform_datum(1.0, 3.0)
+    if name == "gauss":
+        return radial.truncated_gaussian_datum(1.0, 2.5)
+    if name == "annulus":
+        return radial.annulus_indicator_datum(1.0, 2.0, 4.0 / 3.0)
+    if name.startswith("power:"):
+        try:
+            alpha = float(name.split(":", 1)[1])
+        except ValueError:
+            alpha = math.nan
+        # alpha <= -2 leaves r f(r) non-integrable at the origin
+        if not -2.0 < alpha < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"power exponent must be finite and > -2 in {name!r}")
+        return radial.power_law_datum(alpha)
+    raise argparse.ArgumentTypeError(f"unknown datum {name!r}")
+
+
 # flags that some subcommands read; the others do not take them
 _SHARED = {
     "--p": dict(type=_within(float, "exponent p", 1.0), default=1.0,
@@ -275,6 +264,8 @@ _SHARED = {
                    help="quadrature resolution (>= 8)"),
     "--eps": dict(type=_within(float, "eps", 0.0, 1.0), default=0.5,
                   help="construction parameter (in [0, 1])"),
+    "--iters": dict(type=_within(int, "iters", 1), default=3,
+                    help="corrector iterations (>= 1)"),
 }
 
 
@@ -288,22 +279,23 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, fn, help, *flags):
         p = sub.add_parser(name, help=help)
         p.add_argument("--out", default="-", help="output path ('-' for stdout)")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_within(int, "seed", 0), default=0)
         for flag in flags:
             p.add_argument(flag, **_SHARED[flag])
         p.set_defaults(fn=fn)
         return p
 
     p = command("energy-gap", run_energy_gap, "radial blow-up vs bounded competitor",
-                "--p", "--grid")
-    p.add_argument("--eps", default="1e-1,1e-2,1e-3")
+                "--p", "--grid", "--iters")
+    p.add_argument("--eps", type=_eps_list, default="1e-1,1e-2,1e-3",
+                   help="comma-separated epsilons in (0, 1]")
     p.add_argument("--corrector", choices=("off", "on"), default="off")
-    p.add_argument("--iters", type=int, default=3)
 
     p = command("zhukovsky", run_zhukovsky, "circle-energy comparison audit", "--p")
-    p.add_argument("--datum", default="uniform",
+    p.add_argument("--datum", type=_datum, default="uniform",
                    help="uniform, gauss, annulus or power:ALPHA (finite ALPHA > -2)")
-    p.add_argument("--competitor", default="phi2")
+    p.add_argument("--competitor", choices=("phi1", "phi2", "phi3", "rot-phi1"),
+                   default="phi2")
     p.add_argument("--radii", type=_within(int, "radii", 1), default=32,
                    help="number of audit circles (>= 1)")
 
@@ -315,10 +307,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True,
                    choices=("eta", "shear", "wedge", "counterexample"))
 
-    p = command("moser-demo", run_moser_demo, "constant-Jacobian corrector trace", "--eps")
+    p = command("moser-demo", run_moser_demo, "constant-Jacobian corrector trace",
+                "--eps", "--iters")
     p.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
-    p.add_argument("--iters", type=int, default=3)
-    p.add_argument("--resolution", type=int, default=20)
+    p.add_argument("--resolution", type=_within(int, "resolution", 2), default=20,
+                   help="Bogovskii quadrature panels per side (>= 2)")
 
     return parser
 
@@ -332,9 +325,6 @@ def main(argv=None) -> int:
     try:
         text = args.fn(args)
         _write_atomic(args.out, text)
-    except ConfigError as exc:
-        print(f"pjac: config error: {exc}", file=sys.stderr)
-        return 2
     except (PjacError, FloatingPointError, ValueError) as exc:
         print(f"pjac: numerical failure: {exc}", file=sys.stderr)
         return 3

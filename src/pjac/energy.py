@@ -1,14 +1,13 @@
 """Quadrature of 2p-Dirichlet energies, Jacobian residuals, circle energies.
 
 Region energies use break-aligned composite Gauss-Legendre grids (polar for
-Euclidean discs/annuli, rotated-coordinate tensor grids for l1 balls, a
-symmetric triangle rule for polygons).  Circle energies use the periodic
-trapezoid rule, which is spectrally accurate for smooth integrands.
+Euclidean discs/annuli, rotated-coordinate tensor grids for l1 balls).
+Circle energies use the periodic trapezoid rule, which is spectrally accurate
+for smooth integrands.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -27,12 +26,6 @@ from .radial import (
 from .regions import Region, annulus, quasi_random_points
 
 _GL_ORDER = 4
-
-# 6-point symmetric triangle rule, exact to degree 4
-_TRI_A = 0.445948490915965
-_TRI_B = 0.091576213509771
-_TRI_WA = 0.223381589678011
-_TRI_WB = 0.109951743655322
 
 
 def _composite_gl(edges, n_target: int):
@@ -121,51 +114,7 @@ def build_grid(
         nodes = np.stack([(S + T) / 2.0, (S - T) / 2.0], axis=-1)[keep]
         return QuadratureGrid(region, nodes.reshape(-1, 2), W[keep].reshape(-1))
 
-    if region.kind == "polygon":
-        return _polygon_grid(region, n)
-
     raise ValueError(f"cannot grid region kind {region.kind!r}")
-
-
-def _polygon_grid(region: Region, n: int) -> QuadratureGrid:
-    verts = np.asarray(region.vertices, dtype=float)
-    centroid = verts.mean(axis=0)
-    tris = [
-        np.array([centroid, verts[i], verts[(i + 1) % len(verts)]])
-        for i in range(len(verts))
-    ]
-    # subdivide until the node count is comparable to n*n
-    levels = max(0, int(math.ceil(math.log(max(n * n / (6 * len(tris)), 1), 4))))
-    for _ in range(levels):
-        finer = []
-        for t in tris:
-            m01, m12, m20 = (t[0] + t[1]) / 2, (t[1] + t[2]) / 2, (t[2] + t[0]) / 2
-            finer += [
-                np.array([t[0], m01, m20]),
-                np.array([m01, t[1], m12]),
-                np.array([m20, m12, t[2]]),
-                np.array([m01, m12, m20]),
-            ]
-        tris = finer
-    bary = np.array(
-        [
-            [1 - 2 * _TRI_A, _TRI_A, _TRI_A],
-            [_TRI_A, 1 - 2 * _TRI_A, _TRI_A],
-            [_TRI_A, _TRI_A, 1 - 2 * _TRI_A],
-            [1 - 2 * _TRI_B, _TRI_B, _TRI_B],
-            [_TRI_B, 1 - 2 * _TRI_B, _TRI_B],
-            [_TRI_B, _TRI_B, 1 - 2 * _TRI_B],
-        ]
-    )
-    wb = np.array([_TRI_WA] * 3 + [_TRI_WB] * 3)
-    tris = np.asarray(tris)  # (T, 3, 2)
-    areas = 0.5 * np.abs(
-        (tris[:, 1, 0] - tris[:, 0, 0]) * (tris[:, 2, 1] - tris[:, 0, 1])
-        - (tris[:, 2, 0] - tris[:, 0, 0]) * (tris[:, 1, 1] - tris[:, 0, 1])
-    )
-    nodes = np.einsum("qb,tbi->tqi", bary, tris).reshape(-1, 2)
-    weights = (areas[:, None] * wb[None, :]).reshape(-1)
-    return QuadratureGrid(region, nodes, weights)
 
 
 @dataclass(frozen=True)
@@ -176,17 +125,6 @@ class EnergyReport:
     p: float
     region: Region
     refinement_estimate: float
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "p": self.p,
-            "region": self.region.kind,
-            "refinement_estimate": self.refinement_estimate,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def _energy_on_grid(u: PlanarMap, p: float, grid: QuadratureGrid) -> float:

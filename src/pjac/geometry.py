@@ -90,13 +90,6 @@ class CircleSamples:
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "values", values)
 
-    @property
-    def points(self) -> np.ndarray:
-        """Source points radius * e^{i theta} as an (n, 2) array."""
-        return self.radius * np.stack(
-            [np.cos(self.theta), np.sin(self.theta)], axis=-1
-        )
-
 
 def sample_circle(fn, radius: float, n: int = 256) -> CircleSamples:
     """Sample a planar map on n uniform angles of the circle |z| = radius."""

@@ -16,10 +16,9 @@ condition).
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -53,9 +52,6 @@ class ConstExpr:
         """Antiderivative of 2 s f(s)."""
         return self.c * np.asarray(r, dtype=float) ** 2
 
-    def to_dict(self):
-        return {"kind": "const", "c": self.c}
-
 
 @dataclass(frozen=True)
 class PowerExpr:
@@ -77,9 +73,6 @@ class PowerExpr:
     def mass_antideriv(self, r):
         a = self.alpha
         return 2.0 * self.c * np.asarray(r, dtype=float) ** (a + 2) / (a + 2)
-
-    def to_dict(self):
-        return {"kind": "power", "c": self.c, "alpha": self.alpha}
 
 
 @dataclass(frozen=True)
@@ -113,9 +106,6 @@ class PolyExpr:
             )
         return out
 
-    def to_dict(self):
-        return {"kind": "poly", "coeffs": list(self.coeffs), "center": self.center}
-
 
 @dataclass(frozen=True)
 class GaussExpr:
@@ -135,27 +125,6 @@ class GaussExpr:
     def mass_antideriv(self, r):
         r = np.asarray(r, dtype=float)
         return -2.0 * self.c * self.sigma**2 * np.exp(-(r**2) / (2.0 * self.sigma**2))
-
-    def to_dict(self):
-        return {"kind": "gauss", "c": self.c, "sigma": self.sigma}
-
-
-_EXPR_KINDS = {
-    "const": lambda d: ConstExpr(c=float(d["c"])),
-    "power": lambda d: PowerExpr(c=float(d["c"]), alpha=float(d["alpha"])),
-    "poly": lambda d: PolyExpr(
-        coeffs=tuple(float(c) for c in d["coeffs"]),
-        center=float(d.get("center", 0.0)),
-    ),
-    "gauss": lambda d: GaussExpr(c=float(d["c"]), sigma=float(d["sigma"])),
-}
-
-
-def expr_from_dict(d: dict):
-    try:
-        return _EXPR_KINDS[d["kind"]](d)
-    except KeyError as exc:
-        raise ValueError(f"unknown expression {d!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +177,8 @@ class RadialDatum:
         idx = np.searchsorted(self._edges, r, side="right") - 1
         return np.clip(idx, 0, len(self.pieces) - 1)
 
-    def _per_piece(self, r, method: str) -> np.ndarray:
-        """Each piece's ``method`` (value or deriv) on its radii, zero beyond."""
+    def f(self, r) -> np.ndarray:
+        """Each piece's value on its radii, zero beyond the support."""
         r = np.asarray(r, dtype=float)
         out = np.zeros_like(r)
         idx = self._piece_index(r)
@@ -217,14 +186,8 @@ class RadialDatum:
         for i, pc in enumerate(self.pieces):
             m = inside & (idx == i)
             if np.any(m):
-                out[m] = getattr(pc.expr, method)(r[m])
+                out[m] = pc.expr.value(r[m])
         return out
-
-    def f(self, r) -> np.ndarray:
-        return self._per_piece(r, "value")
-
-    def f_deriv(self, r) -> np.ndarray:
-        return self._per_piece(r, "deriv")
 
     def cumulative(self, r) -> np.ndarray:
         """integral_0^r 2 s f(s) ds, exact per piece."""
@@ -251,35 +214,6 @@ class RadialDatum:
             return self.f(np.hypot(pts[..., 0], pts[..., 1]))
 
         return field
-
-    # -- serialisation -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "support_radius": self.support_radius,
-            "pieces": [
-                {"r_min": pc.r_min, "r_max": pc.r_max, "expr": pc.expr.to_dict()}
-                for pc in self.pieces
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @staticmethod
-    def from_dict(d: dict) -> "RadialDatum":
-        pieces = tuple(
-            Piece(float(pd["r_min"]), float(pd["r_max"]), expr_from_dict(pd["expr"]))
-            for pd in d["pieces"]
-        )
-        return RadialDatum(
-            pieces=pieces,
-            support_radius=float(d.get("support_radius", pieces[-1].r_max)),
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "RadialDatum":
-        return RadialDatum.from_dict(json.loads(text))
 
 
 def uniform_datum(value: float = 1.0, radius: float = 3.0) -> RadialDatum:
@@ -318,30 +252,6 @@ def annulus_indicator_datum(r_in: float, r_out: float, value: float = 1.0) -> Ra
         ),
         support_radius=float(r_out),
     )
-
-
-def dilate_datum(d: RadialDatum, t: float) -> RadialDatum:
-    """The datum r -> f(r / t), with support scaled by t."""
-    if t <= 0:
-        raise ValueError("dilation factor must be positive")
-    out = []
-    for pc in d.pieces:
-        e = pc.expr
-        if isinstance(e, ConstExpr):
-            new = e
-        elif isinstance(e, PowerExpr):
-            new = PowerExpr(c=e.c * t ** (-e.alpha), alpha=e.alpha)
-        elif isinstance(e, PolyExpr):
-            new = PolyExpr(
-                coeffs=tuple(c / t**j for j, c in enumerate(e.coeffs)),
-                center=e.center * t,
-            )
-        elif isinstance(e, GaussExpr):
-            new = GaussExpr(c=e.c, sigma=e.sigma * t)
-        else:
-            raise ValueError(f"cannot dilate {e!r}")
-        out.append(Piece(pc.r_min * t, pc.r_max * t, new))
-    return RadialDatum(pieces=tuple(out), support_radius=d.support_radius * t)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Planar domain descriptors: Euclidean and l1 balls/annuli, polygons.
+"""Planar domain descriptors: Euclidean and l1 balls and annuli.
 
 The l1 ball Q_r = {|x| + |y| < r} and annulus A1(r, R) carry the diamond
 geometry used by the explicit counterexample maps.  Regions support exact
@@ -28,16 +28,15 @@ def l1_norm(pts: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Region:
-    """A planar domain: disc/annulus in either norm, or a convex polygon.
+    """A planar domain: a disc or an annulus in either norm.
 
     ``constraints`` intersects the base region with open half planes, which
     covers the half and quadrant restrictions used by the reflections.
     """
 
-    kind: str  # "disc" | "annulus" | "l1_ball" | "l1_annulus" | "polygon"
+    kind: str  # "disc" | "annulus" | "l1_ball" | "l1_annulus"
     r_in: float = 0.0
     r_out: float = 0.0
-    vertices: tuple = ()
     constraints: tuple = ()
 
     def contains(self, pts) -> np.ndarray:
@@ -48,24 +47,10 @@ class Region:
         elif self.kind in ("l1_ball", "l1_annulus"):
             rho = l1_norm(pts)
             mask = (rho < self.r_out) & (rho > self.r_in)
-        elif self.kind == "polygon":
-            mask = self._polygon_contains(pts)
         else:
             raise ValueError(f"unknown region kind {self.kind!r}")
         for c in self.constraints:
             mask &= _HALF_PLANES[c](pts)
-        return mask
-
-    def _polygon_contains(self, pts: np.ndarray) -> np.ndarray:
-        # convex, counterclockwise vertices: inside iff left of every edge
-        verts = np.asarray(self.vertices, dtype=float)
-        mask = np.ones(pts.shape[:-1], dtype=bool)
-        for i in range(len(verts)):
-            a, b = verts[i], verts[(i + 1) % len(verts)]
-            cross = (b[0] - a[0]) * (pts[..., 1] - a[1]) - (b[1] - a[1]) * (
-                pts[..., 0] - a[0]
-            )
-            mask &= cross > 0
         return mask
 
     def area(self) -> float:
@@ -77,33 +62,21 @@ class Region:
             base = 2.0 * self.r_out**2
         elif self.kind == "l1_annulus":
             base = 2.0 * (self.r_out**2 - self.r_in**2)
-        elif self.kind == "polygon":
-            v = np.asarray(self.vertices, dtype=float)
-            x, y = v[:, 0], v[:, 1]
-            base = 0.5 * abs(
-                np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
-            )
         else:
             raise ValueError(self.kind)
         # base regions are symmetric about both axes, so each half-plane
         # constraint halves the area exactly
-        if self.kind == "polygon" and self.constraints:
-            raise ValueError("constrained polygons are not supported")
         return base * 0.5 ** len(self.constraints)
 
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.kind == "polygon":
-            v = np.asarray(self.vertices, dtype=float)
-            lo, hi = v.min(axis=0).copy(), v.max(axis=0).copy()
-        else:
-            R = self.r_out
-            lo, hi = np.array([-R, -R]), np.array([R, R])
-            for c in self.constraints:
-                axis = 0 if c[0] == "x" else 1
-                if c[1] == ">":
-                    lo[axis] = 0.0
-                else:
-                    hi[axis] = 0.0
+        R = self.r_out
+        lo, hi = np.array([-R, -R]), np.array([R, R])
+        for c in self.constraints:
+            axis = 0 if c[0] == "x" else 1
+            if c[1] == ">":
+                lo[axis] = 0.0
+            else:
+                hi[axis] = 0.0
         return lo, hi
 
 
@@ -128,15 +101,6 @@ def l1_annulus(r_in: float, r_out: float, constraints: tuple = ()) -> Region:
         r_out=float(r_out),
         constraints=constraints,
     )
-
-
-def convex_polygon(vertices) -> Region:
-    """Convex polygon from counterclockwise vertices."""
-    v = np.asarray(vertices, dtype=float)
-    x, y = v[:, 0], v[:, 1]
-    if np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y) <= 0:
-        raise ValueError("vertices must be counterclockwise")
-    return Region(kind="polygon", vertices=tuple(map(tuple, v)))
 
 
 def quasi_random_points(

@@ -106,11 +106,22 @@ def test_corrector_config_errors_exit_two(tmp_path, monkeypatch, capsys):
         ["moser-demo", "--iters", "0"],
         ["energy-gap", "--eps", "0.1", "--corrector", "on", "--iters", "0"],
         ["energy-gap", "--eps", "0.1", "--corrector", "on", "--iters", "-1"],
+        ["energy-gap", "--eps", "0.1", "--corrector", "off", "--iters", "0"],
     ):
         assert main(argv + ["--out", str(out)]) == 2, argv
         err = capsys.readouterr().err
-        assert err.startswith("pjac: config error:") and "Traceback" not in err
+        assert "Traceback" not in err and argv[-2] in err, argv
     assert not out.exists()
+
+
+def test_csv_non_finite_number_is_a_numerical_failure(tmp_path, capsys):
+    # the 1-D energy falsely diverges at this eps; the table must not print inf
+    out = tmp_path / "gap.csv"
+    assert main(["energy-gap", "--eps", "1e-14", "--grid", "16", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("pjac: numerical failure:") and "non-finite" in err
+    assert len(err.strip().splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_numerical_failure_exit_three(tmp_path):
@@ -182,6 +193,7 @@ def test_bad_exponent_and_grid_exit_two_before_work(tmp_path, monkeypatch, capsy
     ["check-map", "--map", "counterexample", "--eps", "-0.1"],
     ["moser-demo", "--eps", "2"],
     ["moser-demo", "--eps", "inf"],
+    ["check-map", "--map", "eta", "--seed", "-1"],
 ], ids=lambda argv: "_".join(argv))
 def test_out_of_range_inputs_exit_two_before_work(tmp_path, monkeypatch, capsys, argv):
     import pjac.energy as energy

@@ -1,4 +1,5 @@
-"""Every module-level name of the package is used somewhere in src/ or tests/."""
+"""Every module-level name and method of the package is used somewhere in
+src/ or tests/."""
 
 import ast
 from pathlib import Path
@@ -16,7 +17,21 @@ def _defined(tree: ast.Module) -> set[str]:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 names |= {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
-    return {n for n in names if not (n.startswith("__") and n.endswith("__"))}
+    return {n for n in names if not _dunder(n)}
+
+
+def _methods(tree: ast.Module) -> set[str]:
+    """Functions and properties defined directly in a module-level class body."""
+    return {
+        f"{cls.name}.{node.name}"
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _dunder(node.name)
+    }
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
 
 
 def _referenced(tree: ast.Module) -> set[str]:
@@ -32,13 +47,25 @@ def _referenced(tree: ast.Module) -> set[str]:
     return out
 
 
-def test_no_module_level_name_is_dead():
+def _package_trees_and_used_names():
     files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in files}
     used = set().union(*(_referenced(tree) for tree in trees.values()))
+    return {path: tree for path, tree in trees.items() if path.parent == PACKAGE}, used
+
+
+def test_no_module_level_name_is_dead():
+    package, used = _package_trees_and_used_names()
     dead = sorted(
-        f"{path.name}:{name}"
-        for path, tree in trees.items() if path.parent == PACKAGE
-        for name in _defined(tree) - used
+        f"{path.name}:{name}" for path, tree in package.items() for name in _defined(tree) - used
+    )
+    assert not dead, f"defined but never referenced: {dead}"
+
+
+def test_no_method_is_dead():
+    package, used = _package_trees_and_used_names()
+    dead = sorted(
+        f"{path.name}:{name}" for path, tree in package.items() for name in _methods(tree)
+        if name.split(".")[1] not in used
     )
     assert not dead, f"defined but never referenced: {dead}"

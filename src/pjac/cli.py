@@ -1,7 +1,8 @@
 """Batch experiment runner emitting CSV/JSON tables.
 
 Subcommands: energy-gap, zhukovsky, nonuniqueness, check-map, moser-demo.
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure (any
+exception while computing or writing, reported on one stderr line).
 Outputs are written atomically (temp file + rename) so a failed run never
 leaves a partial table behind; identical config + seed gives identical bytes.
 CSV and JSON refuse non-finite numbers, which exit 3.
@@ -266,6 +267,8 @@ _SHARED = {
                   help="construction parameter (in [0, 1])"),
     "--iters": dict(type=_within(int, "iters", 1), default=3,
                     help="corrector iterations (>= 1)"),
+    "--seed": dict(type=_within(int, "seed", 0), default=0,
+                   help="seed of the sampled points (>= 0)"),
 }
 
 
@@ -279,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, fn, help, *flags):
         p = sub.add_parser(name, help=help)
         p.add_argument("--out", default="-", help="output path ('-' for stdout)")
-        p.add_argument("--seed", type=_within(int, "seed", 0), default=0)
         for flag in flags:
             p.add_argument(flag, **_SHARED[flag])
         p.set_defaults(fn=fn)
@@ -303,12 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
             "--p", "--grid")
 
     p = command("check-map", run_check_map, "continuity/Jacobian/isoperimetry audits",
-                "--grid", "--eps")
+                "--grid", "--eps", "--seed")
     p.add_argument("--map", required=True,
                    choices=("eta", "shear", "wedge", "counterexample"))
 
     p = command("moser-demo", run_moser_demo, "constant-Jacobian corrector trace",
-                "--eps", "--iters")
+                "--eps", "--iters", "--seed")
     p.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
     p.add_argument("--resolution", type=_within(int, "resolution", 2), default=20,
                    help="Bogovskii quadrature panels per side (>= 2)")
@@ -327,6 +329,9 @@ def main(argv=None) -> int:
         _write_atomic(args.out, text)
     except (PjacError, FloatingPointError, ValueError) as exc:
         print(f"pjac: numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # any other failure is still one line, exit 3
+        print(f"pjac: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     return 0
 

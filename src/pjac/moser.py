@@ -25,9 +25,13 @@ interpolated with one bicubic vector-valued spline for flow use; direct
 Cost per evaluation point: a direct evaluation sums (4 N)^2 far-field kernel
 terms over the panel nodes (N = ``n_panels``) plus 48 x 14 near-field terms
 (midpoint angles times Gauss-Legendre radii), each a few dozen flops with no
-inner quadrature, and calls ``h`` at the near-field nodes; a cached
-evaluation is one chart inversion and one spline query that shares the
-B-spline basis between both components.
+inner quadrature.  The near field runs for 32 points at a time, so ``h``, the
+chart and the kernel see one array of 32 x 672 nodes per chunk; the far field
+stays one pass per point.  A cached evaluation is one chart inversion and one
+spline query that shares the B-spline basis between both components.  A flow
+takes 4 cached evaluations per RK4 step, and each field gets the fewest of 8,
+16, 32 or 64 steps whose end-point coordinates change by at most
+1e-4 x sqrt(area) when the steps double.
 """
 
 from __future__ import annotations
@@ -50,7 +54,11 @@ from .geometry import det2
 
 _GL4 = np.polynomial.legendre.leggauss(4)
 _ESCAPE_TOL = 5e-4  # chart units
-_STEPS = 64  # RK4 steps of one flow, doubled on each retry after an escape
+# RK4 steps of one flow: the step-doubling choice tries 8, 16, 32 and falls
+# back to 64; a flow that escapes retries with doubled steps up to 256
+_MIN_STEPS, _STEPS, _MAX_STEPS = 8, 64, 256
+_STEP_TOL = 1e-4  # step-doubling tolerance on end points, in units of scale()
+_CHUNK = 32  # points per near-field batch: 32 x 672 nodes keep the temporaries small
 # near-field rule: midpoint angles times Gauss-Legendre radii per angle
 _N_PHI = 48
 _U_GL = np.polynomial.legendre.leggauss(14)
@@ -255,10 +263,10 @@ class VectorField:
     bump in closed form (see ``_kernel``), with the y-only terms of the panel
     grid computed once per field.
 
-    Cost: ``direct_eval`` is a Python loop over points, each point one pass
-    over the 16 n_panels^2 panel nodes and the 48 x 14 polar nodes, about
-    0.7-1.1 ms at the defaults on a 2-core Xeon host; ``eval`` builds the
-    cache once, (cache + 1)^2 direct evaluations, then costs one vector
+    Cost: ``direct_eval`` evaluates the 48 x 14 polar nodes of 32 points at
+    a time in one array, then makes one pass per point over the 16
+    n_panels^2 panel nodes; ``eval`` builds the cache once, (cache - 1)^2
+    direct evaluations at the interior chart nodes, then costs one vector
     spline query per point.
     """
 
@@ -294,6 +302,10 @@ class VectorField:
     def _kernel(self, x: np.ndarray, ys: np.ndarray, yc=None, c2=None) -> np.ndarray:
         """(x - y) * integral_1^inf bump(y + t (x - y)) t dt for each y.
 
+        ``x`` of shape (2,) goes with ``ys`` of shape (K, 2), and ``x`` of
+        shape (P, 2) with ``ys`` of shape (P, K, 2); the result has the shape
+        of ``ys``.
+
         On the chord t1 < t < t2 where the ray meets the star ball, the bump
         is (4/(pi r^2)) w^3 with weight w = (a2/r^2)(t - t1)(t2 - t) and
         a2 = |x - y|^2, so the integrand is a polynomial of degree 7 in t.
@@ -310,19 +322,19 @@ class VectorField:
         r2 = self._bump.radius**2
         if yc is None:
             yc = ys - self._bump.center
-            c2 = np.einsum("ij,ij->i", yc, yc) - r2
-        d = x[None, :] - ys
-        a2 = np.einsum("ij,ij->i", d, d)
-        bh = np.einsum("ij,ij->i", d, yc)
+            c2 = np.einsum("...i,...i->...", yc, yc) - r2
+        d = x[..., None, :] - ys
+        a2 = np.einsum("...i,...i->...", d, d)
+        bh = np.einsum("...i,...i->...", d, yc)
         disc = bh * bh - a2 * c2
-        out = np.zeros_like(ys)
+        out = np.zeros_like(d)
         with np.errstate(invalid="ignore", divide="ignore"):
             sq = np.sqrt(disc)
             t2 = (sq - bh) / a2
-        idx = np.nonzero((disc > 0) & (a2 > 0) & (t2 > 1.0))[0]
-        if len(idx) == 0:
+        hit = (disc > 0) & (a2 > 0) & (t2 > 1.0)
+        if not hit.any():
             return out
-        a2, sq, t2 = a2[idx], sq[idx], t2[idx]
+        a2, sq, t2 = a2[hit], sq[hit], t2[hit]
         length = 2.0 * sq / a2
         span = np.minimum(length, t2 - 1.0)  # L v
         v = span / length
@@ -333,20 +345,25 @@ class VectorField:
         v2 = v * v
         bracket = t2 * p3 - span * q
         inner = (4.0 / (math.pi * r2)) * scale**3 * length * (v2 * v2) * bracket
-        out[idx] = d[idx] * inner[:, None]
+        out[hit] = d[hit] * inner[:, None]
         return out
 
-    def _local_polar(self, x: np.ndarray, s_star: float, q_star: float) -> np.ndarray:
+    def _local_polar(self, xs: np.ndarray, s_star: np.ndarray,
+                     q_star: np.ndarray) -> np.ndarray:
         """Near-field part: chart-polar integral of the complementary cutoff.
 
         The chart area element cancels the kernel singularity (the chart is
         bi-Lipschitz), and the radial extent is clipped exactly to the chart
         square per angle, so the integrand never jumps at the boundary.
+        ``xs`` is (P, 2) with chart coordinates ``s_star``, ``q_star`` of
+        shape (P,); the P x 48 x 14 nodes go through ``h`` in one call.
         """
         delta = self._delta
         phi = (np.arange(_N_PHI) + 0.5) * (2 * np.pi / _N_PHI)
         wphi = 2 * np.pi / _N_PHI
         cs, sn = np.cos(phi), np.sin(phi)
+        n = len(xs)
+        s_star, q_star = s_star[:, None], q_star[:, None]
         with np.errstate(divide="ignore"):
             rs = np.where(cs > 1e-12, (1.0 - s_star) / cs,
                           np.where(cs < -1e-12, -s_star / cs, np.inf))
@@ -354,44 +371,45 @@ class VectorField:
                           np.where(sn < -1e-12, -q_star / sn, np.inf))
         R = np.maximum(np.minimum(delta, np.minimum(rs, rq)), 0.0)
         ug, wu = _U_GL
-        us = 0.5 * R[:, None] * (ug[None, :] + 1.0)
-        ws = 0.5 * R[:, None] * wu[None, :]
-        ss = s_star + us * cs[:, None]
-        qq = q_star + us * sn[:, None]
-        ys = self.domain.to_xy(ss.ravel(), qq.ravel())
-        hv = np.asarray(self.h(ys), dtype=float)
-        jd = self.domain.chart_jdet(ss.ravel(), qq.ravel())
-        k = self._kernel(x, ys)
+        us = 0.5 * R[..., None] * (ug + 1.0)
+        ws = 0.5 * R[..., None] * wu
+        ss = (s_star[..., None] + us * cs[:, None]).reshape(n, -1)
+        qq = (q_star[..., None] + us * sn[:, None]).reshape(n, -1)
+        ys = self.domain.to_xy(ss, qq)
+        hv = np.asarray(self.h(ys.reshape(-1, 2)), dtype=float).reshape(ss.shape)
+        jd = self.domain.chart_jdet(ss, qq)
+        k = self._kernel(xs, ys)
         cut = 1.0 - _smoothstep(us / delta)
-        wtot = (ws * us * cut).ravel() * wphi * jd * hv
-        return np.sum(k * wtot[:, None], axis=0)
+        wtot = (ws * us * cut).reshape(n, -1) * wphi * jd * hv
+        return np.sum(k * wtot[..., None], axis=-2)
 
     def direct_eval(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         flat = pts.reshape(-1, 2)
         out = np.zeros_like(flat)
         s_all, q_all = self.domain.from_xy(flat)
-        inside = (s_all >= 0) & (s_all <= 1) & (q_all >= 0) & (q_all <= 1)
-        for i in np.nonzero(inside)[0]:
-            x = flat[i]
+        inside = np.nonzero((s_all >= 0) & (s_all <= 1) & (q_all >= 0) & (q_all <= 1))[0]
+        for start in range(0, len(inside), _CHUNK):
+            idx = inside[start:start + _CHUNK]
+            out[idx] = self._local_polar(flat[idx], s_all[idx], q_all[idx])
+        for i in inside:
             dist = np.hypot(self._sq[:, 0] - s_all[i], self._sq[:, 1] - q_all[i])
             ramp = _smoothstep(dist / self._delta)
-            k = self._kernel(x, self._xy, self._yc, self._c2)
-            val = (self._wh * ramp) @ k
-            val += self._local_polar(x, s_all[i], q_all[i])
-            out[i] = val
+            k = self._kernel(flat[i], self._xy, self._yc, self._c2)
+            out[i] += (self._wh * ramp) @ k
         return out.reshape(pts.shape)
 
     # -- cached evaluation ---------------------------------------------------
 
     def _build_cache(self):
-        # endpoints included: the boundary rows pin the spline to the exact
-        # zero boundary values of the operator
+        # endpoints included: the 4 m boundary nodes hold the operator's exact
+        # zero boundary values and pin the spline there; only the (m - 1)^2
+        # interior nodes need a direct evaluation
         m = self._cache_n
         grid = np.linspace(0.0, 1.0, m + 1)
-        S, Q = np.meshgrid(grid, grid, indexing="ij")
-        xy = self.domain.to_xy(S.ravel(), Q.ravel())
-        vals = self.direct_eval(xy).reshape(m + 1, m + 1, 2)
+        S, Q = np.meshgrid(grid[1:-1], grid[1:-1], indexing="ij")
+        vals = np.zeros((m + 1, m + 1, 2))
+        vals[1:-1, 1:-1] = self.direct_eval(self.domain.to_xy(S, Q))
         self._spline = _vector_spline(grid, vals)
 
     def eval(self, pts) -> np.ndarray:
@@ -428,18 +446,26 @@ def divergence_residual(field: VectorField, h, n_samples: int = 100) -> tuple[fl
 
 @dataclass
 class MoserCorrector:
-    """A flow map sigma with J sigma approximately equal to a target density."""
+    """A flow map sigma with J sigma approximately equal to a target density.
+
+    ``sigma`` integrates the flow with ``steps`` RK4 steps.  ``moser_flow``
+    sets them per field by step doubling: the fewest of 8, 16 and 32 steps
+    whose end-point coordinates at the residual samples change by at most
+    1e-4 x ``domain.scale()`` when the steps double, else 64.  A flow that
+    leaves the domain retries with doubled steps up to 256.
+    """
 
     domain: QuadDomain
     g: object
     field: VectorField
+    steps: int = _STEPS
     residual_max: float = math.nan
     residual_mean: float = math.nan
     mass_error: float = math.nan
     boundary_displacement: float = math.nan
 
     def sigma(self, pts) -> np.ndarray:
-        return _flow(self.field, self.g, np.asarray(pts, dtype=float), _STEPS)
+        return _flow(self.field, self.g, np.asarray(pts, dtype=float), self.steps)
 
     def jacobian(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
@@ -486,12 +512,33 @@ def _flow_once(field: VectorField, g, seeds: np.ndarray, steps: int) -> np.ndarr
 
 
 def _flow(field: VectorField, g, seeds: np.ndarray, steps: int) -> np.ndarray:
-    for attempt in range(3):
+    while steps <= _MAX_STEPS:
         try:
-            return _flow_once(field, g, seeds, steps * 2**attempt)
+            return _flow_once(field, g, seeds, steps)
         except _Escaped:
-            continue
+            steps *= 2
     raise FlowEscapedDomain("trajectories keep leaving the domain")
+
+
+def _choose_steps(field: VectorField, g, pts: np.ndarray, tol: float) -> int:
+    """Fewest RK4 steps N of 8, 16, 32 with max |Y_N - Y_2N| <= tol at ``pts``,
+    else 64 (step doubling; Hairer, Norsett & Wanner, Solving ODEs I, II.4).
+    The max runs over both coordinates of every end point; a flow that
+    escapes counts as a failed comparison."""
+
+    def end_points(steps):
+        try:
+            return _flow_once(field, g, pts, steps)
+        except _Escaped:
+            return None
+
+    steps, y = _MIN_STEPS, end_points(_MIN_STEPS)
+    while steps < _STEPS:
+        y2 = end_points(2 * steps)
+        if y is not None and y2 is not None and float(np.max(np.abs(y - y2))) <= tol:
+            return steps
+        steps, y = 2 * steps, y2
+    return steps
 
 
 def _interior_samples(domain: QuadDomain, n: int, margin: float = 0.04,
@@ -508,7 +555,9 @@ def moser_flow(g, domain: QuadDomain, n_panels: int = 20, cache: int = 48,
     ``g`` must be strictly positive with integral equal to the domain area
     (it is renormalised to that mass before use).  When g is identically 1 at
     every quadrature node the divergence data vanishes exactly, the field is
-    identically zero, and sigma is the identity bit for bit.
+    identically zero, and sigma is the identity bit for bit.  The RK4 step
+    count of sigma comes from step doubling at the ``n_check`` residual
+    samples (see ``MoserCorrector``).
     """
     probe_sq = (np.arange(33) + 0.5) / 33
     S, Q = np.meshgrid(probe_sq, probe_sq, indexing="ij")
@@ -536,9 +585,10 @@ def moser_flow(g, domain: QuadDomain, n_panels: int = 20, cache: int = 48,
         cache=cache,
     )
     corr = MoserCorrector(domain=domain, g=g_norm, field=field)
+    pts = _interior_samples(domain, n_check)
+    corr.steps = _choose_steps(field, g_norm, pts, _STEP_TOL * domain.scale())
 
     # residual report: J sigma vs g at interior samples, mass, boundary drift
-    pts = _interior_samples(domain, n_check)
     jdet = corr.jacobian_det(pts)
     res = np.abs(jdet - np.asarray(g_norm(pts), dtype=float))
     corr.residual_max = float(np.max(res))

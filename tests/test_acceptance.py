@@ -364,11 +364,10 @@ def test_criterion_7_nonuniqueness_construction():
 
 def test_criterion_8_cli_determinism(tmp_path):
     jobs = {
-        "energy-gap": ["energy-gap", "--eps", "1e-1,1e-3", "--grid", "96",
-                       "--seed", "5"],
+        "energy-gap": ["energy-gap", "--eps", "1e-1,1e-3", "--grid", "96"],
         "zhukovsky": ["zhukovsky", "--datum", "power:0.1", "--competitor",
-                      "rot-phi1", "--radii", "16", "--seed", "5"],
-        "nonuniqueness": ["nonuniqueness", "--grid", "96", "--seed", "5"],
+                      "rot-phi1", "--radii", "16"],
+        "nonuniqueness": ["nonuniqueness", "--grid", "96"],
         "check-map": ["check-map", "--map", "shear", "--eps", "0.25", "--seed", "5"],
         "moser-demo": ["moser-demo", "--eps", "0.5", "--iters", "1",
                        "--resolution", "10", "--seed", "5"],

@@ -41,7 +41,7 @@ def test_energy_gap_uniform_row(tmp_path):
 
 
 def test_energy_gap_deterministic_bytes(tmp_path):
-    args = ["energy-gap", "--eps", "1e-1,1e-2", "--grid", "96", "--seed", "7"]
+    args = ["energy-gap", "--eps", "1e-1,1e-2", "--grid", "96"]
     _, a = run_to_file(tmp_path, "a.csv", list(args))
     _, b = run_to_file(tmp_path, "b.csv", list(args))
     assert a.read_bytes() == b.read_bytes()
@@ -121,6 +121,18 @@ def test_csv_non_finite_number_is_a_numerical_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("pjac: numerical failure:") and "non-finite" in err
     assert len(err.strip().splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unexpected_exception_exits_three_on_one_line(tmp_path, monkeypatch, capsys):
+    def divide(*args, **kwargs):
+        return 1 / 0
+
+    monkeypatch.setattr(radial, "sobolev_energy_1d", divide)
+    out = tmp_path / "gap.csv"
+    assert main(["energy-gap", "--eps", "0.1", "--grid", "16", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "pjac: numerical failure: ZeroDivisionError: division by zero\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -219,6 +231,7 @@ def test_flags_a_subcommand_does_not_read_are_refused(tmp_path, capsys):
     out = tmp_path / "never"
     for argv in (
         ["energy-gap", "--json"],
+        ["energy-gap", "--seed", "1"],
         ["zhukovsky", "--json"],
         ["zhukovsky", "--grid", "64"],
         ["nonuniqueness", "--json"],

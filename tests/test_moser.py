@@ -84,22 +84,24 @@ def test_bogovskii_square_divergence_residual():
     assert mx_f < mx_c  # decreasing under refinement
 
 
-def test_bogovskii_wedge_linear_data():
+def _linear_wedge_field(n_panels, cache=48):
+    """div xi = x - mean(x) on the wedge."""
     dom = wedge_domain()
-    _, xy, w = panel_nodes(dom, 24)
+    _, xy, w = panel_nodes(dom, n_panels)
     xbar = float(np.sum(w * xy[:, 0]) / np.sum(w))
-    h = lambda p: p[..., 0] - xbar  # noqa: E731
-    field = VectorField(h, dom, n_panels=40)
-    mx, mean = divergence_residual(field, h, n_samples=40)
+    return VectorField(lambda p: p[..., 0] - xbar, dom, n_panels=n_panels, cache=cache)
+
+
+def test_bogovskii_wedge_linear_data():
+    field = _linear_wedge_field(40)
+    mx, mean = divergence_residual(field, field.h, n_samples=40)
     assert mean < 1e-2
     assert mx < 5e-2
 
 
 def test_bogovskii_vanishes_on_and_outside_boundary():
-    dom = wedge_domain()
-    _, xy, w = panel_nodes(dom, 16)
-    xbar = float(np.sum(w * xy[:, 0]) / np.sum(w))
-    field = VectorField(lambda p: p[..., 0] - xbar, dom, n_panels=16)
+    field = _linear_wedge_field(16)
+    dom = field.domain
     outside = np.array([[0.1, 0.1], [3.0, 3.0], [-1.0, 0.5]])
     assert np.array_equal(field.direct_eval(outside), np.zeros((3, 2)))
     boundary = dom.boundary_points(16)
@@ -158,6 +160,37 @@ def test_kernel_closed_form_matches_quadrature():
     yc = ys - field._bump.center
     c2 = np.sum(yc * yc, axis=-1) - r**2
     assert np.array_equal(field._kernel(xs[2], ys, yc, c2), field._kernel(xs[2], ys))
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33])
+def test_direct_eval_chunks_match_pointwise(n):
+    field = _linear_wedge_field(6)
+    corners = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+    edges = [[0.3, 0.0], [1.0, 0.6], [0.45, 1.0], [0.0, 0.2], [1e-3, 0.5]]
+    interior = np.random.default_rng(5).random((24, 2))
+    sq = np.concatenate([corners, edges, interior])[:n]
+    pts = field.domain.to_xy(sq[:, 0], sq[:, 1])
+    batched = field.direct_eval(pts)
+    single = np.array([field.direct_eval(p[None, :])[0] for p in pts])
+    scale = float(np.max(np.abs(field.direct_eval(field.domain.to_xy(interior[:, 0],
+                                                                     interior[:, 1])))))
+    assert scale > 0.1
+    assert float(np.max(np.abs(batched - single))) <= 1e-14 * scale
+
+
+def test_cache_evaluates_interior_nodes_only():
+    field = _linear_wedge_field(6, cache=6)
+    shapes = []
+    direct = field.direct_eval
+
+    def recorded(pts):
+        shapes.append(np.asarray(pts).shape)
+        return direct(pts)
+
+    field.direct_eval = recorded
+    vals = field.eval(field.domain.boundary_points(16))
+    assert shapes == [(5, 5, 2)]
+    assert float(np.max(np.abs(vals))) < 1e-15
 
 
 def test_cached_eval_matches_componentwise_splines():
@@ -229,6 +262,7 @@ def test_moser_flow_identity_for_unit_density():
     pts = np.random.default_rng(0).random((40, 2)) * 0.9 + 0.05
     assert np.array_equal(corr.sigma(pts), pts)  # bit-exact identity
     assert corr.residual_max < 1e-9
+    assert corr.steps == 8
 
 
 def test_moser_flow_square_bump():
@@ -251,6 +285,23 @@ def test_moser_flow_wedge_target():
     assert corr.residual_max < 0.1
     assert corr.mass_error < 1e-3
 
+    # the chosen step count passes its own step-doubling test at the residual
+    # samples, and sigma stays within twice the tolerance of a 128-step flow
+    tol = moser._STEP_TOL * corr.domain.scale()
+    pts = moser._interior_samples(corr.domain, 120)
+    n = corr.steps
+    assert n in (8, 16, 32, 64)
+
+    def flow(steps):
+        return moser._flow_once(corr.field, corr.g, pts, steps)
+
+    def gap(a, b):
+        return float(np.max(np.abs(a - b)))
+
+    if n < 64:
+        assert gap(flow(n), flow(2 * n)) <= tol
+    assert gap(corr.sigma(pts), flow(128)) <= 2 * tol
+
 
 def test_moser_flow_rejects_nonpositive_density():
     with pytest.raises(NonPositiveDensity):
@@ -269,6 +320,24 @@ def test_flow_escape_guard():
     with pytest.raises(FlowEscapedDomain):
         moser._flow(OutwardField(), lambda p: np.ones(np.asarray(p).shape[:-1]),
                     np.array([[0.9, 0.9]]), steps=4)
+
+
+def test_escaping_flow_retries_up_to_256_steps(monkeypatch):
+    from pjac.errors import FlowEscapedDomain
+
+    tried = []
+
+    def escape(field, g, seeds, steps):
+        tried.append(steps)
+        raise moser._Escaped
+
+    monkeypatch.setattr(moser, "_flow_once", escape)
+    dom = unit_square_domain()
+    corr = moser.MoserCorrector(domain=dom, g=lambda p: np.ones(p.shape[:-1]),
+                                field=None, steps=8)
+    with pytest.raises(FlowEscapedDomain):
+        corr.sigma(np.array([[0.5, 0.5]]))
+    assert tried == [8, 16, 32, 64, 128, 256]
 
 
 # -- the constant-Jacobian iteration ----------------------------------------------

@@ -7,7 +7,6 @@ from .geometry import (
     cofactor,
     det2,
     frobenius,
-    polar_densities,
     polar_lift,
     sample_circle,
     winding_number,

@@ -177,27 +177,3 @@ def winding_number(curve, point) -> int:
     total = np.sum(wrap_angle(np.diff(ang))) + wrap_angle(ang[0] - ang[-1])
     return int(np.rint(total / TWO_PI))
 
-
-def polar_densities(psi_r, psi_theta, gamma_r, gamma_theta, psi, r):
-    """Jacobian and squared-gradient density from polar-representation partials.
-
-    With u = psi * exp(i gamma) in polar source coordinates (r, theta):
-
-        J u      = (psi / r) * (psi_r * gamma_theta - psi_theta * gamma_r)
-        |D u|^2  = psi_r^2 + (psi gamma_r)^2 + psi_theta^2 / r^2
-                   + (psi gamma_theta)^2 / r^2
-
-    Both are returned, broadcasting over array inputs.
-    """
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise NonPositiveRadius("polar densities need r > 0")
-    psi = np.asarray(psi, dtype=float)
-    jac = (psi / r) * (psi_r * gamma_theta - psi_theta * gamma_r)
-    dens = (
-        np.asarray(psi_r) ** 2
-        + (psi * gamma_r) ** 2
-        + np.asarray(psi_theta) ** 2 / r**2
-        + (psi * gamma_theta) ** 2 / r**2
-    )
-    return jac, dens

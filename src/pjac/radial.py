@@ -17,11 +17,9 @@ condition).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import (
     NonPositiveLambda,
@@ -430,92 +428,62 @@ def stretching_jacobian_check(
 
 
 # ---------------------------------------------------------------------------
-# 1-D Sobolev energies, with divergence detection
+# 1-D Sobolev energies on a graded Gauss-Legendre rule
 # ---------------------------------------------------------------------------
 
+_GL_ORDER = 20
 
-def _window_refine(integrand, a, b, singular_lo, singular_hi):
-    """Integrate over (a, b), shrinking cutoffs at singular endpoints.
 
-    Returns math.inf when halving the cutoff keeps adding more than 0.5 per
-    halving without any sign of saturation; this targets logarithmic blow-up,
-    where the per-halving increment is asymptotically constant.
+def _graded_integral(integrand, cuts) -> float:
+    """Integral of ``integrand`` over [cuts[0], cuts[-1]].
+
+    Each interval between consecutive cuts is split into panels that halve
+    toward both of its ends, down to 2^-53 of its length, and every panel
+    gets a fixed-order Gauss-Legendre rule.  Integrable endpoint
+    singularities and features as narrow as roundoff are resolved, and the
+    whole rule is one vectorised sum.
     """
+    x, w = np.polynomial.legendre.leggauss(_GL_ORDER)
+    edges = np.concatenate([[0.0], 2.0 ** -np.arange(53.0, 0.0, -1.0)])
+    half = 0.5 * np.diff(edges)[:, None]
+    t = ((edges[:-1, None] + half) + half * x).ravel()  # offsets in (0, 1/2)
+    wt = (half * w).ravel()
+    a, b = np.asarray(cuts[:-1])[:, None], np.asarray(cuts[1:])[:, None]
     length = b - a
-    d0 = 1e-3 * length
-    lo = a + (d0 if singular_lo else 0.0)
-    hi = b - (d0 if singular_hi else 0.0)
-    total = quad(integrand, lo, hi, limit=200)[0]
-    for singular, at_lo in ((singular_lo, True), (singular_hi, False)):
-        if not singular:
-            continue
-        delta = d0
-        prev_inc = None
-        while delta > 1e-14 * length:
-            new = delta / 2.0
-            if at_lo:
-                inc = quad(integrand, a + new, a + delta, limit=200)[0]
-            else:
-                inc = quad(integrand, b - delta, b - new, limit=200)[0]
-            total += inc
-            delta = new
-            if inc < 1e-9 * max(1.0, abs(total)):
-                break
-            prev_inc = inc
-        else:
-            # cutoff floor reached with increments still above threshold
-            if prev_inc is not None and prev_inc > 0.5:
-                return math.inf
-    return total
+    nodes = np.concatenate([a + length * t, b - length * t], axis=1).ravel()
+    weights = np.tile(length * wt, 2).ravel()
+    return float(np.sum(weights * integrand(nodes)))
 
 
 def sobolev_energy_1d(s: GeneralisedStretching, p: float, radius: float) -> float:
     """2 pi * integral_0^R (rho_dot^2/|k| + |k| rho^2/r^2)^p r dr.
 
     For p = 1, k = 1 this is exactly the squared-gradient integral of the
-    stretching over the disc of radius R.  Returns math.inf when the integral
-    diverges (detected by cutoff refinement toward the singular radius).
+    stretching over the disc of radius R.  The integral diverges, and the
+    result is math.inf, exactly when rho vanishes at some r0 in (0, R] with
+    |r0 f(r0-)| or |r0 f(r0+)| above the profile's roundoff floor: there
+    rho_dot^2 ~ r0 f / (2 |r - r0|), which is not integrable.  Otherwise the
+    integral is evaluated on a graded Gauss-Legendre rule cut at the
+    breakpoints of the datum and the radii where rho vanishes.
     """
     if p < 1:
         raise ValueError("exponent p must be >= 1")
     prof = s.profile
     k = abs(s.k)
     R = float(radius)
+    vanishing = [float(v) for v in prof.vanishing_radii() if 0.0 < v <= R]
+    for r0 in vanishing:
+        sides = np.array([np.nextafter(r0, 0.0), np.nextafter(r0, math.inf)])
+        if np.max(np.abs(r0 * prof.datum.f(sides))) > prof._rf_floor:
+            return math.inf
 
     def integrand(r):
-        # includes the 2 pi factor so divergence thresholds act on the
-        # energy itself, not an arbitrary normalisation of it
-        rr = np.asarray(r, dtype=float)
-        rho = prof.rho(rr)
-        rho_dot = prof.rho_dot(rr)
-        dens = rho_dot**2 / k + k * rho**2 / rr**2
-        return 2.0 * math.pi * (dens**p) * rr
+        dens = prof.rho_dot(r) ** 2 / k + k * prof.rho(r) ** 2 / r**2
+        return dens**p * r
 
-    cuts = [0.0, R]
-    cuts += [float(b) for b in prof.datum.breakpoints() if 0.0 < b < R]
-    cuts += [float(v) for v in prof.vanishing_radii() if 0.0 < v < R]
-    cuts = sorted(set(cuts))
-
-    total = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for a, b in zip(cuts, cuts[1:]):
-            length = b - a
-            probes = []
-            for end, delta in ((a, 1e-4), (a, 1e-7), (b, 1e-4), (b, 1e-7)):
-                r = end + delta * length if end == a else end - delta * length
-                probes.append(float(integrand(np.array([r]))[0]))
-            singular_lo = probes[1] > 10.0 * probes[0] + 1e-12
-            singular_hi = probes[3] > 10.0 * probes[2] + 1e-12
-            part = (
-                _window_refine(integrand, a, b, singular_lo, singular_hi)
-                if (singular_lo or singular_hi)
-                else quad(integrand, a, b, limit=200)[0]
-            )
-            if math.isinf(part):
-                return math.inf
-            total += part
-    return total
+    cuts = {0.0, R} | {float(b) for b in prof.datum.breakpoints() if 0.0 < b < R}
+    cuts |= {v for v in vanishing if v < R}
+    return 2.0 * math.pi * _graded_integral(integrand, sorted(cuts))
 
 
 def truncated_derivative_energy(profile: RadialProfile, r_end: float,
@@ -526,28 +494,15 @@ def truncated_derivative_energy(profile: RadialProfile, r_end: float,
     grows like c * log(1/delta) when rho vanishes at r_end with r f != 0.
     Results are aligned with the input order of ``deltas``.
     """
-    deltas = np.asarray(deltas, dtype=float)
-    order = np.argsort(-deltas)  # widest cutoff (shortest interval) first
+    breaks = [float(b) for b in profile.datum.breakpoints() if b > 0.0]
 
     def integrand(r):
-        return profile.rho_dot(np.asarray(r, dtype=float)) ** 2
+        return profile.rho_dot(r) ** 2
 
-    stop = r_end - deltas[order[0]]
-    cuts = [float(b) for b in profile.datum.breakpoints() if 0.0 < b < stop]
-    base = 0.0
-    for a, b in zip([0.0] + cuts, cuts + [stop]):
-        base += quad(integrand, a, b, limit=200)[0]
-
-    sorted_values = [base]
-    prev = stop
-    for d in deltas[order[1:]]:
-        sorted_values.append(
-            sorted_values[-1] + quad(integrand, prev, r_end - d, limit=200)[0]
-        )
-        prev = r_end - d
-    out = np.empty_like(deltas)
-    out[order] = sorted_values
-    return out
+    return np.array([
+        _graded_integral(integrand, [0.0] + [b for b in breaks if b < stop] + [stop])
+        for stop in r_end - np.asarray(deltas, dtype=float)
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -29,8 +30,6 @@ def test_energy_gap_csv_shape(tmp_path):
 
 
 def test_energy_gap_uniform_row(tmp_path):
-    import math
-
     rc, out = run_to_file(
         tmp_path, "one.csv", ["energy-gap", "--eps", "1", "--grid", "128"]
     )
@@ -114,14 +113,21 @@ def test_corrector_config_errors_exit_two(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
-def test_csv_non_finite_number_is_a_numerical_failure(tmp_path, capsys):
-    # the 1-D energy falsely diverges at this eps; the table must not print inf
+def test_csv_non_finite_number_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(radial, "sobolev_energy_1d", lambda s, p, radius: math.inf)
     out = tmp_path / "gap.csv"
     assert main(["energy-gap", "--eps", "1e-14", "--grid", "16", "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("pjac: numerical failure:") and "non-finite" in err
     assert len(err.strip().splitlines()) == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_energy_gap_at_tiny_eps_matches_closed_form(tmp_path):
+    rc, out = run_to_file(tmp_path, "gap.csv", ["energy-gap", "--eps", "1e-14", "--grid", "16"])
+    assert rc == 0
+    row = [float(tok) for tok in out.read_text().splitlines()[1].split(",")]
+    assert row[2] == pytest.approx(158.547185456152, rel=1e-3)  # E_radial
 
 
 def test_unexpected_exception_exits_three_on_one_line(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,5 @@
 """Every module-level name and method of the package is used somewhere in
-src/ or tests/."""
+src/ or tests/, and every module-level import is read by its own module."""
 
 import ast
 from pathlib import Path
@@ -69,3 +69,30 @@ def test_no_method_is_dead():
         if name.split(".")[1] not in used
     )
     assert not dead, f"defined but never referenced: {dead}"
+
+
+def _imported(tree: ast.Module) -> set[str]:
+    """Names bound by module-level imports, except ``from __future__``."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names |= {alias.asname or alias.name for alias in node.names}
+    return names
+
+
+def _names_read(tree: ast.Module) -> set[str]:
+    return {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+
+
+def test_no_import_is_unused():
+    package, _ = _package_trees_and_used_names()
+    unused = sorted(
+        f"{path.name}:{name}" for path, tree in package.items() if path.name != "__init__.py"
+        for name in _imported(tree) - _names_read(tree)
+    )
+    assert not unused, f"imported but never read: {unused}"

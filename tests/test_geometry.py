@@ -16,7 +16,6 @@ from pjac.geometry import (
     cofactor,
     det2,
     frobenius,
-    polar_densities,
     polar_lift,
     sample_circle,
     winding_number,
@@ -207,94 +206,3 @@ def test_winding_negates_under_conjugation():
         curve, point
     )
 
-
-# -- polar densities ---------------------------------------------------------
-
-
-def test_polar_densities_identity():
-    jac, dens = polar_densities(1.0, 0.0, 0.0, 1.0, 1.0, 1.0)
-    assert np.isclose(jac, 1.0) and np.isclose(dens, 2.0)
-
-
-def test_polar_densities_degree_two():
-    # frozen from the symbolic oracle below: jacobian 1, density 5/2
-    jac, dens = polar_densities(
-        1 / math.sqrt(2), 0.0, 0.0, 2.0, 1 / math.sqrt(2), 1.0
-    )
-    assert np.isclose(jac, 1.0, atol=1e-12)
-    assert np.isclose(dens, 2.5, atol=1e-12)
-
-
-def test_polar_densities_symbolic_oracle():
-    sympy = pytest.importorskip("sympy")
-    r, th = sympy.symbols("r theta", positive=True)
-    k = 2
-    psi = r / sympy.sqrt(k)
-    u1 = psi * sympy.cos(k * th)
-    u2 = psi * sympy.sin(k * th)
-    x = r * sympy.cos(th)
-    y = r * sympy.sin(th)
-    jac_mat = sympy.Matrix([[u1.diff(r), u1.diff(th)], [u2.diff(r), u2.diff(th)]])
-    chain = sympy.Matrix([[x.diff(r), x.diff(th)], [y.diff(r), y.diff(th)]])
-    du = jac_mat * chain.inv()
-    jac_sym = sympy.simplify(du.det())
-    dens_sym = sympy.simplify(sum(e**2 for e in du))
-    at = {r: 1.0, th: 0.7}
-    assert abs(float(jac_sym.subs(at)) - 1.0) < 1e-12
-    assert abs(float(dens_sym.subs(at)) - 2.5) < 1e-12
-
-
-def test_polar_densities_degenerate_gradients():
-    jac, _ = polar_densities(0.7, 0.7, 1.3, 1.3, 2.0, 1.5)
-    assert np.isclose(jac, 0.0)
-
-
-def test_polar_densities_rejects_nonpositive_radius():
-    with pytest.raises(NonPositiveRadius):
-        polar_densities(1.0, 0.0, 0.0, 1.0, 1.0, 0.0)
-
-
-def test_polar_densities_match_cartesian(rng):
-    # analytic map with explicit (psi, gamma); the assembled Cartesian
-    # derivative matrix must reproduce the polar formulae to 1e-10
-    def parts(r, t):
-        psi = 1 + 0.3 * r**2 + 0.1 * r * np.cos(t)
-        gam = t + 0.2 * r * np.sin(t)
-        psi_r = 0.6 * r + 0.1 * np.cos(t)
-        psi_t = -0.1 * r * np.sin(t)
-        gam_r = 0.2 * np.sin(t)
-        gam_t = 1 + 0.2 * r * np.cos(t)
-        return psi, gam, psi_r, psi_t, gam_r, gam_t
-
-    def fn(pts):
-        r = np.hypot(pts[..., 0], pts[..., 1])
-        t = np.arctan2(pts[..., 1], pts[..., 0])
-        psi, gam = parts(r, t)[:2]
-        return np.stack([psi * np.cos(gam), psi * np.sin(gam)], axis=-1)
-
-    angles = rng.uniform(0, 2 * np.pi, 40)
-    radii = rng.uniform(0.4, 1.2, 40)
-    pts = radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    r = np.hypot(pts[:, 0], pts[:, 1])
-    t = np.arctan2(pts[:, 1], pts[:, 0])
-    psi, gam, psi_r, psi_t, gam_r, gam_t = parts(r, t)
-    jac, dens = polar_densities(psi_r, psi_t, gam_r, gam_t, psi, r)
-
-    # assemble Du = d_r u (x,y)/r + (1/r) d_t u (-y,x)/r analytically
-    cg, sg = np.cos(gam), np.sin(gam)
-    ur = np.stack([psi_r * cg - psi * gam_r * sg, psi_r * sg + psi * gam_r * cg], -1)
-    ut = np.stack(
-        [psi_t / r * cg - psi * gam_t / r * sg, psi_t / r * sg + psi * gam_t / r * cg],
-        -1,
-    )
-    du = np.empty((len(pts), 2, 2))
-    du[:, :, 0] = ur * (pts[:, :1] / r[:, None]) + ut * (-pts[:, 1:] / r[:, None])
-    du[:, :, 1] = ur * (pts[:, 1:] / r[:, None]) + ut * (pts[:, :1] / r[:, None])
-    assert np.allclose(jac, det2(du), rtol=1e-10)
-    assert np.allclose(dens, frobenius(du) ** 2, rtol=1e-10)
-
-    # sanity: central differences of the assembled map agree too
-    from pjac.maps import fd_jacobian
-
-    mats = fd_jacobian(fn, pts)
-    assert np.allclose(jac, det2(mats), atol=2e-5)

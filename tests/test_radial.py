@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -26,6 +27,7 @@ from pjac.radial import (
     sobolev_energy_1d,
     split_bound_check,
     stretching_jacobian_check,
+    truncated_derivative_energy,
     truncated_gaussian_datum,
     uniform_datum,
     zhukovsky,
@@ -167,14 +169,62 @@ def test_energy_divergence_for_annulus_indicator():
     # the stretching for an annulus-supported datum is not square integrable
     d = annulus_indicator_datum(1.0, 2.0, 4.0 / 3.0)
     stretch = GeneralisedStretching(profile_from_datum(d, 1))
-    assert math.isinf(sobolev_energy_1d(stretch, 1, 2.0))
+    for p in (1, 2):
+        assert math.isinf(sobolev_energy_1d(stretch, p, 2.0))
 
 
 def test_energy_divergence_inner_balanced_profile():
     from pjac.constructions import nonuniqueness_inner_profile
 
     prof = nonuniqueness_inner_profile()
-    assert math.isinf(sobolev_energy_1d(GeneralisedStretching(prof), 1, 2.0))
+    for p in (1, 2):
+        assert math.isinf(sobolev_energy_1d(GeneralisedStretching(prof), p, 2.0))
+
+
+# On a piece where rho^2 = a r^2 + b, the substitution t = r^2 turns the
+# p = 1, k = 1 energy density (rho_dot^2 + rho^2/r^2) r dr into
+# (a^2 t/(a t + b) + (a t + b)/t) dt / 2, with this antiderivative.
+_T, _A, _B = sympy.symbols("t a b", real=True)
+_ANTIDERIVATIVE = _A * _T + _B / 2 * sympy.log(_T / (_A * _T + _B))
+
+
+def test_closed_form_antiderivative_differentiates_to_the_integrand():
+    integrand = (_A**2 * _T / (_A * _T + _B) + (_A * _T + _B) / _T) / 2
+    assert sympy.simplify(_ANTIDERIVATIVE.diff(_T) - integrand) == 0
+
+
+def _layered_closed_form(eps: float) -> float:
+    """E_radial of the layered datum, exact up to 40 digits."""
+    e = sympy.Rational(eps)  # the binary value of the float, exactly
+    c = (6 - e) / 5
+    total = 0
+    # (a, b, t0, t1) with rho^2 = a r^2 + b on r^2 in (t0, t1)
+    for a, b, t0, t1 in ((e, 0, 0, 1), (1, e - 1, 1, 4), (c, e + 3 - 4 * c, 4, 9)):
+        piece = _ANTIDERIVATIVE.subs({_A: a, _B: b})
+        total += piece.subs(_T, t1) - piece.subs(_T, t0)
+    return float((2 * sympy.pi * total).evalf(40))
+
+
+@pytest.mark.parametrize("eps", [10.0**-j for j in range(1, 15)])
+def test_energy_layered_matches_closed_form(eps):
+    from pjac.constructions import layered_profile
+
+    closed = _layered_closed_form(eps)
+    energy = sobolev_energy_1d(layered_profile(eps), 1, 3.0)
+    # rho^2 = eps + (r^2 - 1) near r = 1 carries roundoff of about 1e-16
+    assert abs(energy - closed) / closed <= max(1e-11, 1e-17 / eps)
+
+
+def test_truncated_energy_follows_input_order():
+    from pjac.constructions import nonuniqueness_inner_profile
+
+    prof = nonuniqueness_inner_profile()
+    deltas = np.array([1e-2, 1e-3, 1e-4, 1e-5])
+    values = truncated_derivative_energy(prof, 2.0, deltas)
+    assert np.all(np.diff(values) > 0)
+    shuffle = np.array([2, 0, 3, 1])
+    assert np.array_equal(truncated_derivative_energy(prof, 2.0, deltas[shuffle]),
+                          values[shuffle])
 
 
 def test_energy_dilation_scaling():

@@ -226,13 +226,17 @@ def _within(kind, what: str, low, high=math.inf):
 
 
 def _eps_list(text: str) -> list[float]:
-    """argparse type: a comma-separated list of epsilons in (0, 1]."""
+    """argparse type: a comma-separated list of epsilons in [1e-16, 1].
+
+    Below 1e-16 the rho^2 = eps + r^2 - 1 layer at r = 1 is narrower than the
+    1-D energy rule resolves, and E_radial would be wrong.
+    """
     try:
         values = [float(tok) for tok in text.split(",") if tok]
     except ValueError:
         values = []
-    if not values or not all(0.0 < e <= 1.0 for e in values):
-        raise argparse.ArgumentTypeError(f"need epsilons in (0, 1], not {text!r}")
+    if not values or not all(1e-16 <= e <= 1.0 for e in values):
+        raise argparse.ArgumentTypeError(f"need epsilons in [1e-16, 1], not {text!r}")
     return values
 
 
@@ -290,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("energy-gap", run_energy_gap, "radial blow-up vs bounded competitor",
                 "--p", "--grid", "--iters")
     p.add_argument("--eps", type=_eps_list, default="1e-1,1e-2,1e-3",
-                   help="comma-separated epsilons in (0, 1]")
+                   help="comma-separated epsilons in [1e-16, 1]")
     p.add_argument("--corrector", choices=("off", "on"), default="off")
 
     p = command("zhukovsky", run_zhukovsky, "circle-energy comparison audit", "--p")

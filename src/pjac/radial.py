@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -137,6 +138,19 @@ class Piece:
     expr: object
 
 
+def _span(pc: Piece) -> Fraction:
+    """Mass of one piece, exact for the polynomial kinds: their float data are
+    rationals, so a mass balanced by construction sums to exactly 0."""
+    e = PolyExpr((pc.expr.c,)) if isinstance(pc.expr, ConstExpr) else pc.expr
+    if not isinstance(e, PolyExpr):
+        return Fraction(float(e.mass_antideriv(pc.r_max) - e.mass_antideriv(pc.r_min)))
+    m = Fraction(e.center)
+    a, b = Fraction(pc.r_min) - m, Fraction(pc.r_max) - m
+    return sum(2 * Fraction(c) * ((b ** (j + 2) - a ** (j + 2)) / (j + 2)
+                                  + m * (b ** (j + 1) - a ** (j + 1)) / (j + 1))
+               for j, c in enumerate(e.coeffs))
+
+
 @dataclass(frozen=True)
 class RadialDatum:
     """A radially symmetric scalar function of radius, piecewise analytic.
@@ -161,12 +175,12 @@ class RadialDatum:
             raise ValueError("last piece must end at support_radius")
         object.__setattr__(self, "pieces", ps)
         object.__setattr__(self, "support_radius", float(support))
-        # prefix sums of the cumulative mass at piece boundaries
-        starts = [0.0]
+        # prefix sums of the cumulative mass at piece boundaries, summed
+        # exactly and rounded once
+        starts = [Fraction(0)]
         for pc in ps:
-            span = float(pc.expr.mass_antideriv(pc.r_max) - pc.expr.mass_antideriv(pc.r_min))
-            starts.append(starts[-1] + span)
-        object.__setattr__(self, "_mass_at_start", tuple(starts))
+            starts.append(starts[-1] + _span(pc))
+        object.__setattr__(self, "_mass_at_start", tuple(map(float, starts)))
         object.__setattr__(self, "_edges", np.array([pc.r_min for pc in ps] + [ps[-1].r_max]))
 
     # -- evaluation --------------------------------------------------------
@@ -318,17 +332,12 @@ class RadialProfile:
         scale = max(float(np.max(rho)), 1e-300)
         small = rho <= 1e-9 * scale
         flips = np.nonzero(small[:-1] != small[1:])[0]
-        out = []
-        for i in flips:
-            a, b = grid[i], grid[i + 1]
-            for _ in range(60):  # bisect the transition of rho <= tol
-                m = 0.5 * (a + b)
-                if (self.rho(np.array([m]))[0] <= 1e-9 * scale) == small[i]:
-                    a = m
-                else:
-                    b = m
-            out.append(0.5 * (a + b))
-        return np.array(out)
+        a, b = grid[flips], grid[flips + 1]
+        for _ in range(60):  # bisect every transition of rho <= tol at once
+            m = 0.5 * (a + b)
+            left = (self.rho(m) <= 1e-9 * scale) == small[flips]
+            a, b = np.where(left, m, a), np.where(left, b, m)
+        return 0.5 * (a + b)
 
 
 def profile_from_datum(datum: RadialDatum, k: int) -> RadialProfile:
@@ -435,13 +444,13 @@ _GL_ORDER = 20
 
 
 def _graded_integral(integrand, cuts) -> float:
-    """Integral of ``integrand`` over [cuts[0], cuts[-1]].
+    """Integral of ``integrand(anchor, offset)`` over [cuts[0], cuts[-1]].
 
     Each interval between consecutive cuts is split into panels that halve
     toward both of its ends, down to 2^-53 of its length, and every panel
-    gets a fixed-order Gauss-Legendre rule.  Integrable endpoint
-    singularities and features as narrow as roundoff are resolved, and the
-    whole rule is one vectorised sum.
+    gets a fixed-order Gauss-Legendre rule, all summed in one numpy call.
+    Each node is passed as its nearer cut plus an offset that, unlike the
+    node itself, keeps its relative precision however close to the cut.
     """
     x, w = np.polynomial.legendre.leggauss(_GL_ORDER)
     edges = np.concatenate([[0.0], 2.0 ** -np.arange(53.0, 0.0, -1.0)])
@@ -450,21 +459,59 @@ def _graded_integral(integrand, cuts) -> float:
     wt = (half * w).ravel()
     a, b = np.asarray(cuts[:-1])[:, None], np.asarray(cuts[1:])[:, None]
     length = b - a
-    nodes = np.concatenate([a + length * t, b - length * t], axis=1).ravel()
+    anchors = np.repeat(np.concatenate([a, b], axis=1), t.size, axis=1).ravel()
+    offsets = np.concatenate([length * t, -length * t], axis=1).ravel()
     weights = np.tile(length * wt, 2).ravel()
-    return float(np.sum(weights * integrand(nodes)))
+    return float(np.sum(weights * integrand(anchors, offsets)))
+
+
+def _rho_terms(prof: RadialProfile, anchor, offset):
+    """r, rho^2 and rho_dot^2 at the nodes r = anchor + offset.
+
+    A node lies on the piece its anchor faces, even where r rounds onto the
+    anchor.  rho^2 is summed from the nearer end of that piece, by a
+    Gauss-Legendre rule in the offset from the end, so it stays accurate
+    where the mass nearly cancels (rho -> 0 at a piece end, rho^2 = eps +
+    r^2 - 1 near r = 1 on the layered datum); the lower half of the piece
+    at the origin, where nothing cancels, keeps the closed form.
+    """
+    datum = prof.datum
+    r = anchor + offset
+    idx = np.where(offset < 0, np.searchsorted(datum._edges, anchor, side="left"),
+                   np.searchsorted(datum._edges, anchor, side="right")) - 1
+    mass = np.full_like(r, datum._mass_at_start[-1])  # beyond the support
+    rf = np.zeros_like(r)
+    x, w = np.polynomial.legendre.leggauss(_GL_ORDER)
+    for i, pc in enumerate(datum.pieces):
+        m = idx == i
+        rf[m] = r[m] * pc.expr.value(r[m])
+        upper = 2.0 * r >= pc.r_min + pc.r_max
+        if i == 0:
+            mass[m] = pc.expr.mass_antideriv(r[m]) - pc.expr.mass_antideriv(0.0)
+            m &= upper
+        end = np.where(upper[m], pc.r_max, pc.r_min)
+        d = (anchor[m] - end) + offset[m]
+        s = end[:, None] + (0.5 * d)[:, None] * (1.0 + x)
+        start = np.asarray(datum._mass_at_start)[i + upper[m]]
+        mass[m] = start + 0.5 * d * ((2.0 * s * pc.expr.value(s)) @ w)
+    rho2 = np.clip(prof.sign * mass, 0.0, None)
+    return r, rho2, np.divide(rf**2, rho2, out=np.zeros_like(r), where=rho2 > 0)
 
 
 def sobolev_energy_1d(s: GeneralisedStretching, p: float, radius: float) -> float:
     """2 pi * integral_0^R (rho_dot^2/|k| + |k| rho^2/r^2)^p r dr.
 
     For p = 1, k = 1 this is exactly the squared-gradient integral of the
-    stretching over the disc of radius R.  The integral diverges, and the
-    result is math.inf, exactly when rho vanishes at some r0 in (0, R] with
-    |r0 f(r0-)| or |r0 f(r0+)| above the profile's roundoff floor: there
-    rho_dot^2 ~ r0 f / (2 |r - r0|), which is not integrable.  Otherwise the
-    integral is evaluated on a graded Gauss-Legendre rule cut at the
-    breakpoints of the datum and the radii where rho vanishes.
+    stretching over the disc of radius R.  It is math.inf when rho vanishes
+    at some r0 in (0, R] with |r0 f(r0-)| or |r0 f(r0+)| above the
+    profile's roundoff floor: there rho_dot^2 ~ r0 f / (2 |r - r0|), which
+    is not integrable.  rho(0) = 0 always, and the first radius where rho
+    leaves zero is such an r0 only if rho vanishes identically below it.
+    Otherwise the integral is taken on a graded Gauss-Legendre rule cut at
+    the breakpoints of the datum and the radii where rho vanishes; it is
+    exact to roundoff for features wider than 2^-53 of a cut interval.  The
+    datum must be p-integrable at the origin (c r^alpha: alpha p > -2): a
+    divergence there is not detected.
     """
     if p < 1:
         raise ValueError("exponent p must be >= 1")
@@ -472,14 +519,17 @@ def sobolev_energy_1d(s: GeneralisedStretching, p: float, radius: float) -> floa
     k = abs(s.k)
     R = float(radius)
     vanishing = [float(v) for v in prof.vanishing_radii() if 0.0 < v <= R]
-    for r0 in vanishing:
+    zeros = vanishing
+    if zeros and prof.rho(np.array([0.5 * zeros[0]]))[0] > 0.0:
+        zeros = zeros[1:]  # the origin's own zero
+    for r0 in zeros:
         sides = np.array([np.nextafter(r0, 0.0), np.nextafter(r0, math.inf)])
         if np.max(np.abs(r0 * prof.datum.f(sides))) > prof._rf_floor:
             return math.inf
 
-    def integrand(r):
-        dens = prof.rho_dot(r) ** 2 / k + k * prof.rho(r) ** 2 / r**2
-        return dens**p * r
+    def integrand(anchor, offset):
+        r, rho2, rho_dot2 = _rho_terms(prof, anchor, offset)
+        return (rho_dot2 / k + k * rho2 / r**2) ** p * r
 
     cuts = {0.0, R} | {float(b) for b in prof.datum.breakpoints() if 0.0 < b < R}
     cuts |= {v for v in vanishing if v < R}
@@ -495,12 +545,9 @@ def truncated_derivative_energy(profile: RadialProfile, r_end: float,
     Results are aligned with the input order of ``deltas``.
     """
     breaks = [float(b) for b in profile.datum.breakpoints() if b > 0.0]
-
-    def integrand(r):
-        return profile.rho_dot(r) ** 2
-
     return np.array([
-        _graded_integral(integrand, [0.0] + [b for b in breaks if b < stop] + [stop])
+        _graded_integral(lambda a, h: _rho_terms(profile, a, h)[2],
+                         [0.0] + [b for b in breaks if b < stop] + [stop])
         for stop in r_end - np.asarray(deltas, dtype=float)
     ])
 

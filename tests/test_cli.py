@@ -127,7 +127,8 @@ def test_energy_gap_at_tiny_eps_matches_closed_form(tmp_path):
     rc, out = run_to_file(tmp_path, "gap.csv", ["energy-gap", "--eps", "1e-14", "--grid", "16"])
     assert rc == 0
     row = [float(tok) for tok in out.read_text().splitlines()[1].split(",")]
-    assert row[2] == pytest.approx(158.547185456152, rel=1e-3)  # E_radial
+    # E_radial against 2 pi sum [a t + (b/2) ln(t/(a t + b))] at 40 digits
+    assert row[2] == pytest.approx(158.54467344673896, rel=1e-13)
 
 
 def test_unexpected_exception_exits_three_on_one_line(tmp_path, monkeypatch, capsys):
@@ -212,6 +213,8 @@ def test_bad_exponent_and_grid_exit_two_before_work(tmp_path, monkeypatch, capsy
     ["moser-demo", "--eps", "2"],
     ["moser-demo", "--eps", "inf"],
     ["check-map", "--map", "eta", "--seed", "-1"],
+    ["energy-gap", "--eps", "1e-17"],
+    ["energy-gap", "--eps", "0.1,0"],
 ], ids=lambda argv: "_".join(argv))
 def test_out_of_range_inputs_exit_two_before_work(tmp_path, monkeypatch, capsys, argv):
     import pjac.energy as energy
@@ -220,7 +223,8 @@ def test_out_of_range_inputs_exit_two_before_work(tmp_path, monkeypatch, capsys,
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the arguments were checked")
 
-    for owner, name in ((radial, "power_law_datum"), (energy, "zhukovsky_comparison"),
+    for owner, name in ((radial, "power_law_datum"), (radial, "sobolev_energy_1d"),
+                        (energy, "zhukovsky_comparison"),
                         (constructions, "shear_map"), (constructions, "wedge_map"),
                         (constructions, "assemble_counterexample"),
                         (moser, "constant_jacobian_corrector")):

@@ -205,14 +205,53 @@ def _layered_closed_form(eps: float) -> float:
     return float((2 * sympy.pi * total).evalf(40))
 
 
-@pytest.mark.parametrize("eps", [10.0**-j for j in range(1, 15)])
+@pytest.mark.parametrize("eps", [10.0**-j for j in range(1, 17)])
 def test_energy_layered_matches_closed_form(eps):
     from pjac.constructions import layered_profile
 
     closed = _layered_closed_form(eps)
     energy = sobolev_energy_1d(layered_profile(eps), 1, 3.0)
-    # rho^2 = eps + (r^2 - 1) near r = 1 carries roundoff of about 1e-16
-    assert abs(energy - closed) / closed <= max(1e-11, 1e-17 / eps)
+    # rho^2 = eps + (r^2 - 1) near r = 1 is summed from r = 1, where the
+    # mass is exactly eps, so nothing cancels however small eps is
+    assert abs(energy - closed) / closed <= 1e-13
+
+
+@pytest.mark.parametrize("alpha, rtol", [(-0.5, 1e-13), (-0.9, 1e-13), (-1.5, 1e-9)])
+def test_energy_power_law_matches_closed_form(alpha, rtol):
+    # rho^2 = 2 c r^(alpha+2) / (alpha+2), so the p = 1 density is
+    # c (2/(alpha+2) + (alpha+2)/2) r^alpha.  rho leaves its tolerance only
+    # at r0 ~ 1e-17 (alpha = -0.9), where r0 f(r0) is far from small: that is
+    # the origin's own zero, not a divergence.  The r^(alpha+1) integrand is
+    # resolved down to 2^-53 of its cut interval, hence the looser alpha = -1.5
+    c = 2.0 / (2.0 + alpha)
+    closed = 2 * math.pi * c * (2 / (alpha + 2) + (alpha + 2) / 2) / (alpha + 2)
+    stretch = GeneralisedStretching(profile_from_datum(power_law_datum(alpha), 1))
+    assert sobolev_energy_1d(stretch, 1, 1.0) == pytest.approx(closed, rel=rtol)
+
+
+def test_truncated_energy_matches_high_precision_quadrature():
+    # oracle: 30-digit quadrature of (r f)^2 / rho^2 with rho^2 = -mass from
+    # the exact rational masses of the datum's two polynomial pieces
+    import mpmath
+    from pjac.constructions import nonuniqueness_inner_profile
+
+    prof = nonuniqueness_inner_profile()
+    s, t = sympy.symbols("s t")
+    integrands, start = [], sympy.Integer(0)
+    for pc in prof.datum.pieces:
+        u = t - sympy.Rational(pc.expr.center)
+        f = sum(sympy.Rational(c) * u**j for j, c in enumerate(pc.expr.coeffs))
+        mass = start + sympy.integrate(2 * t * f, (t, sympy.Rational(pc.r_min), s))
+        start = mass.subs(s, sympy.Rational(pc.r_max))
+        integrands.append(sympy.lambdify(s, (s * f.subs(t, s)) ** 2 / -mass, "mpmath"))
+    assert start == 0  # the mass over B_2 vanishes exactly
+    deltas = np.array([1e-2, 1e-3, 1e-4, 1e-5])
+    values = truncated_derivative_energy(prof, 2.0, deltas)
+    with mpmath.workdps(30):
+        for delta, value in zip(deltas, values):
+            exact = (mpmath.quad(integrands[0], [0, 1])
+                     + mpmath.quad(integrands[1], [1, mpmath.mpf(2.0 - delta)]))
+            assert abs(value - exact) <= 1e-13 * exact
 
 
 def test_truncated_energy_follows_input_order():

@@ -2,13 +2,9 @@
 
 from .errors import PjacError
 from .geometry import (
-    CircleSamples,
-    PolarLift,
     cofactor,
     det2,
     frobenius,
-    polar_lift,
-    sample_circle,
     winding_number,
 )
 from .maps import PlanarMap, continuity_report, fd_jacobian, reflect_extend, rotate_map
@@ -23,7 +19,6 @@ from .radial import (
     profile_from_datum,
     sobolev_energy_1d,
     split_bound_check,
-    stretching_jacobian_check,
     truncated_derivative_energy,
     truncated_gaussian_datum,
     uniform_datum,

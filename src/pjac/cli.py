@@ -22,7 +22,7 @@ import numpy as np
 from . import constructions, energy, isoperimetry, moser, radial
 from .errors import PjacError
 from .geometry import det2
-from .maps import continuity_report, rotate_map
+from .maps import continuity_report, fd_jacobian, rotate_map
 from .radial import GeneralisedStretching, profile_from_datum
 from .regions import disc
 
@@ -137,7 +137,7 @@ def run_check_map(args) -> str:
         eta, rot = constructions.ball_to_square()
         pts = 0.2 + 0.6 * np.random.default_rng(args.seed).random((20000, 2))
         keep = eta.breaks_clear(pts, 1e-4)
-        res = np.abs(det2(eta.jacobian_fd(pts[keep])) - 2.0 / math.pi)
+        res = np.abs(det2(fd_jacobian(eta.fn, pts[keep])) - 2.0 / math.pi)
         w = eta(pts) @ rot.T
         l1 = np.abs(np.abs(w[:, 0]) + np.abs(w[:, 1]) - np.hypot(pts[:, 0], pts[:, 1]))
         doc["jacobian_fd_residual_max"] = float(np.max(res))

@@ -20,10 +20,9 @@ from .errors import (
     OriginEvaluation,
     OutsideWedge,
 )
-from .geometry import cofactor, det2, polar_jacobian
+from .geometry import cofactor, det2
 from .maps import Interface, PlanarMap, reflect_extend
 from .radial import (
-    ConstExpr,
     GeneralisedStretching,
     Piece,
     PolyExpr,
@@ -130,11 +129,8 @@ def ball_to_square() -> tuple[PlanarMap, np.ndarray]:
     return eta, _ROT45.copy()
 
 
-@dataclass(frozen=True)
 class DiamondChart:
     """w = R(eta(z)): a bijection of each disc B_r onto the diamond Q_r."""
-
-    det: float = 2.0 / math.pi
 
     def fwd(self, pts: np.ndarray) -> np.ndarray:
         return _eta_fn(np.asarray(pts, dtype=float)) @ _ROT45.T
@@ -397,9 +393,9 @@ def layered_datum(eps: float) -> RadialDatum:
         raise ValueError("eps must lie in [0, 1]")
     return RadialDatum(
         pieces=(
-            Piece(0.0, 1.0, ConstExpr(float(eps))),
-            Piece(1.0, 2.0, ConstExpr(1.0)),
-            Piece(2.0, 3.0, ConstExpr((6.0 - eps) / 5.0)),
+            Piece(0.0, 1.0, PolyExpr((float(eps),))),
+            Piece(1.0, 2.0, PolyExpr((1.0,))),
+            Piece(2.0, 3.0, PolyExpr(((6.0 - eps) / 5.0,))),
         ),
         support_radius=3.0,
     )
@@ -612,41 +608,18 @@ def nonuniqueness_inner_profile() -> RadialProfile:
 
 def phase_twisted_stretching(profile: RadialProfile, beta, beta_dot,
                              radius: float) -> PlanarMap:
-    """psi(r) e^{i (k theta + beta(r))}: a stretching with a radial phase.
+    """psi(r) e^{i (k theta + beta(r))} on the disc of radius ``radius``.
 
-    The phase drops out of the Jacobian (it only rotates each circle), so the
-    map solves the same equation as the plain stretching while carrying extra
-    derivative energy psi^2 beta_dot^2.
+    The map is ``GeneralisedStretching(profile, beta, beta_dot)``: it solves
+    the same equation as the plain stretching while carrying extra derivative
+    energy psi^2 beta_dot^2.  Its break radii are the datum's breakpoints.
     """
-    k = profile.k
-
-    def fn(pts):
-        pts = np.asarray(pts, dtype=float)
-        r = np.hypot(pts[..., 0], pts[..., 1])
-        theta = np.arctan2(pts[..., 1], pts[..., 0])
-        psi = profile.modulus(r)
-        phi = k * theta + np.asarray(beta(r))
-        return np.stack([psi * np.cos(phi), psi * np.sin(phi)], axis=-1)
-
-    def jac(pts):
-        pts = np.asarray(pts, dtype=float)
-        x, y = pts[..., 0], pts[..., 1]
-        r = np.hypot(x, y)
-        theta = np.arctan2(y, x)
-        psi = profile.modulus(r)
-        psi_r = profile.modulus_dot(r)
-        bd = np.asarray(beta_dot(r))
-        phi = k * theta + np.asarray(beta(r))
-        cp, sp = np.cos(phi), np.sin(phi)
-        ur = np.stack([psi_r * cp - psi * bd * sp, psi_r * sp + psi * bd * cp], axis=-1)
-        ut = np.stack([-k * psi / r * sp, k * psi / r * cp], axis=-1)
-        return polar_jacobian(pts, r, ur, ut)
-
+    s = GeneralisedStretching(profile, beta, beta_dot)
     breaks = tuple(float(b) for b in profile.datum.breakpoints() if 0 < b <= radius)
     return PlanarMap(
-        fn=fn,
+        fn=s,
         domain=disc(float(radius)),
-        jac=jac,
+        jac=s.jacobian_matrix,
         break_radii=breaks,
-        name=f"twisted_k{k}",
+        name=f"twisted_k{s.k}",
     )

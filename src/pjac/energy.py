@@ -28,7 +28,7 @@ from .regions import Region, annulus, quasi_random_points
 _GL_ORDER = 4
 
 
-def _composite_gl(edges, n_target: int):
+def composite_gl(edges, n_target: int):
     """Composite Gauss-Legendre nodes/weights over consecutive edge intervals."""
     edges = np.asarray(sorted(set(float(e) for e in edges)))
     lengths = np.diff(edges)
@@ -73,9 +73,6 @@ class QuadratureGrid:
     nodes: np.ndarray
     weights: np.ndarray
 
-    def check_area(self, rtol: float = 1e-10) -> bool:
-        return abs(float(np.sum(self.weights)) - self.region.area()) <= rtol * self.region.area()
-
 
 def build_grid(
     region: Region,
@@ -91,8 +88,8 @@ def build_grid(
         ]
         t_lo, t_hi = _sector(region.constraints)
         t_edges = [t_lo, t_hi] + [float(a) for a in break_angles if t_lo < a < t_hi]
-        rs, wr = _composite_gl(r_edges, n)
-        ts, wt = _composite_gl(t_edges, n)
+        rs, wr = composite_gl(r_edges, n)
+        ts, wt = composite_gl(t_edges, n)
         R, T = np.meshgrid(rs, ts, indexing="ij")
         nodes = np.stack([R * np.cos(T), R * np.sin(T)], axis=-1).reshape(-1, 2)
         weights = ((wr * rs)[:, None] * wt[None, :]).reshape(-1)
@@ -106,8 +103,8 @@ def build_grid(
         marks = [m for m in marks if m > 0]
         edges = sorted({-m for m in marks} | set(marks) | {0.0})
         # rotated coordinates s = x + y, t = x - y; |z|_1 = max(|s|, |t|)
-        ss, ws = _composite_gl(edges, n)
-        ts, wt = _composite_gl(edges, n)
+        ss, ws = composite_gl(edges, n)
+        ts, wt = composite_gl(edges, n)
         S, T = np.meshgrid(ss, ts, indexing="ij")
         W = 0.5 * ws[:, None] * wt[None, :]
         keep = np.maximum(np.abs(S), np.abs(T)) > region.r_in

@@ -7,20 +7,8 @@ class PjacError(Exception):
 
 # -- geometry ---------------------------------------------------------------
 
-class OriginHit(PjacError):
-    """A sampled curve passes through the origin; no polar lift exists."""
-
-
-class UndersampledCurve(PjacError):
-    """Angular jumps between samples are too large to unwrap unambiguously."""
-
-
 class PointOnCurve(PjacError):
     """Winding number requested at a point lying on the curve."""
-
-
-class NonPositiveRadius(PjacError):
-    """A polar formula was evaluated at r <= 0."""
 
 
 # -- radial data ------------------------------------------------------------

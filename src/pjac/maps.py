@@ -70,9 +70,6 @@ class PlanarMap:
             return np.asarray(self.jac(pts))
         return fd_jacobian(self.fn, pts)
 
-    def jacobian_fd(self, pts) -> np.ndarray:
-        return fd_jacobian(self.fn, np.asarray(pts, dtype=float))
-
     def breaks_clear(self, pts, margin: float) -> np.ndarray:
         if self.break_distance is None:
             return np.ones(np.asarray(pts).shape[:-1], dtype=bool)

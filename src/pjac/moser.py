@@ -50,9 +50,10 @@ from .errors import (
     NonZeroMean,
     PreconditionViolated,
 )
+from .energy import composite_gl
 from .geometry import det2
+from .maps import fd_jacobian
 
-_GL4 = np.polynomial.legendre.leggauss(4)
 _ESCAPE_TOL = 5e-4  # chart units
 # RK4 steps of one flow: the step-doubling choice tries 8, 16, 32 and falls
 # back to 64; a flow that escapes retries with doubled steps up to 256
@@ -211,16 +212,12 @@ class _Bump:
 
 
 def panel_nodes(domain: QuadDomain, n_panels: int):
-    """Composite 4-point GL tensor nodes over the chart square.
+    """Composite 4-point Gauss-Legendre tensor nodes over the chart square.
 
     Returns (sq, xy, weights) with weights carrying the chart Jacobian, so
     sums approximate integrals over the physical domain.
     """
-    x0, w0 = _GL4
-    edges = np.linspace(0.0, 1.0, n_panels + 1)
-    mids, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
-    nodes_1d = (mids[:, None] + halves[:, None] * x0[None, :]).ravel()
-    weights_1d = (halves[:, None] * w0[None, :]).ravel()
+    nodes_1d, weights_1d = composite_gl([0.0, 1.0], 4 * n_panels)
     S, Q = np.meshgrid(nodes_1d, nodes_1d, indexing="ij")
     WS, WQ = np.meshgrid(weights_1d, weights_1d, indexing="ij")
     sq = np.stack([S.ravel(), Q.ravel()], axis=-1)
@@ -424,21 +421,6 @@ class VectorField:
         return out.reshape(pts.shape)
 
 
-def divergence_residual(field: VectorField, h, n_samples: int = 100) -> tuple[float, float]:
-    """(max, mean) of |div xi - h| by central differences of direct_eval,
-    at samples 8% of the chart away from its boundary."""
-    pts = _interior_samples(field.domain, n_samples, 0.08)
-    step = 5e-3 * field.domain.scale()
-    ex = np.array([step, 0.0])
-    ey = np.array([0.0, step])
-    div = (
-        field.direct_eval(pts + ex)[:, 0] - field.direct_eval(pts - ex)[:, 0]
-        + field.direct_eval(pts + ey)[:, 1] - field.direct_eval(pts - ey)[:, 1]
-    ) / (2 * step)
-    res = np.abs(div - np.asarray(h(pts), dtype=float))
-    return float(np.max(res)), float(np.mean(res))
-
-
 # ---------------------------------------------------------------------------
 # the flow
 # ---------------------------------------------------------------------------
@@ -450,17 +432,16 @@ class MoserCorrector:
 
     ``sigma`` integrates the flow with ``steps`` RK4 steps.  ``moser_flow``
     sets them per field by step doubling: the fewest of 8, 16 and 32 steps
-    whose end-point coordinates at the residual samples change by at most
-    1e-4 x ``domain.scale()`` when the steps double, else 64.  A flow that
-    leaves the domain retries with doubled steps up to 256.
+    whose end-point coordinates at the ``n_check`` interior samples change
+    by at most 1e-4 x ``domain.scale()`` when the steps double, else 64.  A
+    flow that leaves the domain retries with doubled steps up to 256.
+    ``jacobian`` is ``fd_jacobian`` of sigma with step 1e-4 x max(1, |x|).
     """
 
     domain: QuadDomain
     g: object
     field: VectorField
     steps: int = _STEPS
-    residual_max: float = math.nan
-    residual_mean: float = math.nan
     mass_error: float = math.nan
     boundary_displacement: float = math.nan
 
@@ -468,16 +449,7 @@ class MoserCorrector:
         return _flow(self.field, self.g, np.asarray(pts, dtype=float), self.steps)
 
     def jacobian(self, pts) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        h = 1e-4 * self.domain.scale()
-        out = np.empty(pts.shape[:-1] + (2, 2))
-        for j in range(2):
-            e = np.zeros(2)
-            e[j] = h
-            diff = (self.sigma(pts + e) - self.sigma(pts - e)) / (2 * h)
-            out[..., 0, j] = diff[..., 0]
-            out[..., 1, j] = diff[..., 1]
-        return out
+        return fd_jacobian(self.sigma, pts, scale=1e-4)
 
     def jacobian_det(self, pts) -> np.ndarray:
         return det2(self.jacobian(pts))
@@ -556,8 +528,8 @@ def moser_flow(g, domain: QuadDomain, n_panels: int = 20, cache: int = 48,
     (it is renormalised to that mass before use).  When g is identically 1 at
     every quadrature node the divergence data vanishes exactly, the field is
     identically zero, and sigma is the identity bit for bit.  The RK4 step
-    count of sigma comes from step doubling at the ``n_check`` residual
-    samples (see ``MoserCorrector``).
+    count of sigma comes from step doubling at ``n_check`` interior samples
+    (see ``MoserCorrector``).
     """
     probe_sq = (np.arange(33) + 0.5) / 33
     S, Q = np.meshgrid(probe_sq, probe_sq, indexing="ij")
@@ -585,15 +557,10 @@ def moser_flow(g, domain: QuadDomain, n_panels: int = 20, cache: int = 48,
         cache=cache,
     )
     corr = MoserCorrector(domain=domain, g=g_norm, field=field)
-    pts = _interior_samples(domain, n_check)
-    corr.steps = _choose_steps(field, g_norm, pts, _STEP_TOL * domain.scale())
+    corr.steps = _choose_steps(field, g_norm, _interior_samples(domain, n_check),
+                               _STEP_TOL * domain.scale())
 
-    # residual report: J sigma vs g at interior samples, mass, boundary drift
-    jdet = corr.jacobian_det(pts)
-    res = np.abs(jdet - np.asarray(g_norm(pts), dtype=float))
-    corr.residual_max = float(np.max(res))
-    corr.residual_mean = float(np.mean(res))
-
+    # report: mass of J sigma against the domain area, boundary drift
     _, nodes, weights = panel_nodes(domain, 12)
     mass = float(np.sum(weights * corr.jacobian_det(nodes)))
     corr.mass_error = abs(mass - domain.area()) / domain.area()

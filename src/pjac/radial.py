@@ -28,28 +28,14 @@ from .errors import (
     PjacError,
     PreconditionViolated,
 )
-from .geometry import det2, polar_jacobian
+from .geometry import polar_jacobian
 from .maps import PlanarMap
 from .regions import disc
 
 # ---------------------------------------------------------------------------
-# expression grammar: const | power | poly | gauss
+# expression grammar: power | poly | gauss; mass_antideriv is an
+# antiderivative of 2 s f(s)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConstExpr:
-    c: float
-
-    def value(self, r):
-        return np.full_like(np.asarray(r, dtype=float), self.c)
-
-    def deriv(self, r):
-        return np.zeros_like(np.asarray(r, dtype=float))
-
-    def mass_antideriv(self, r):
-        """Antiderivative of 2 s f(s)."""
-        return self.c * np.asarray(r, dtype=float) ** 2
 
 
 @dataclass(frozen=True)
@@ -65,9 +51,6 @@ class PowerExpr:
 
     def value(self, r):
         return self.c * np.asarray(r, dtype=float) ** self.alpha
-
-    def deriv(self, r):
-        return self.c * self.alpha * np.asarray(r, dtype=float) ** (self.alpha - 1)
 
     def mass_antideriv(self, r):
         a = self.alpha
@@ -117,10 +100,6 @@ class GaussExpr:
         r = np.asarray(r, dtype=float)
         return self.c * np.exp(-(r**2) / (2.0 * self.sigma**2))
 
-    def deriv(self, r):
-        r = np.asarray(r, dtype=float)
-        return -self.c * r / self.sigma**2 * np.exp(-(r**2) / (2.0 * self.sigma**2))
-
     def mass_antideriv(self, r):
         r = np.asarray(r, dtype=float)
         return -2.0 * self.c * self.sigma**2 * np.exp(-(r**2) / (2.0 * self.sigma**2))
@@ -139,9 +118,9 @@ class Piece:
 
 
 def _span(pc: Piece) -> Fraction:
-    """Mass of one piece, exact for the polynomial kinds: their float data are
+    """Mass of one piece, exact for polynomial pieces: their float data are
     rationals, so a mass balanced by construction sums to exactly 0."""
-    e = PolyExpr((pc.expr.c,)) if isinstance(pc.expr, ConstExpr) else pc.expr
+    e = pc.expr
     if not isinstance(e, PolyExpr):
         return Fraction(float(e.mass_antideriv(pc.r_max) - e.mass_antideriv(pc.r_min)))
     m = Fraction(e.center)
@@ -230,7 +209,7 @@ class RadialDatum:
 
 def uniform_datum(value: float = 1.0, radius: float = 3.0) -> RadialDatum:
     return RadialDatum(
-        pieces=(Piece(0.0, float(radius), ConstExpr(float(value))),),
+        pieces=(Piece(0.0, float(radius), PolyExpr((float(value),))),),
         support_radius=float(radius),
     )
 
@@ -259,8 +238,8 @@ def annulus_indicator_datum(r_in: float, r_out: float, value: float = 1.0) -> Ra
     """value on the annulus r_in < r < r_out, zero elsewhere."""
     return RadialDatum(
         pieces=(
-            Piece(0.0, float(r_in), ConstExpr(0.0)),
-            Piece(float(r_in), float(r_out), ConstExpr(float(value))),
+            Piece(0.0, float(r_in), PolyExpr((0.0,))),
+            Piece(float(r_in), float(r_out), PolyExpr((float(value),))),
         ),
         support_radius=float(r_out),
     )
@@ -362,35 +341,52 @@ def profile_from_datum(datum: RadialDatum, k: int) -> RadialProfile:
     return RadialProfile(datum=datum, k=int(k))
 
 
+def _no_phase(r):
+    # -0.0 rather than 0.0: k theta + (-0.0) is k theta bit for bit, signed
+    # zeros included, so the plain stretching keeps its exact values
+    return -0.0
+
+
 @dataclass(frozen=True)
 class GeneralisedStretching:
-    """The degree-k circular stretching z -> (rho(r)/sqrt(|k|)) e^{i k theta}."""
+    """The degree-k circular stretching with a radial phase beta(r):
+
+        z = r e^{i theta} -> (rho(r)/sqrt(|k|)) e^{i (k theta + beta(r))}.
+
+    The phase only rotates each circle, so it drops out of the Jacobian: every
+    beta solves the same equation, at the extra derivative energy
+    psi^2 beta_dot^2.  ``beta_dot`` is the derivative of ``beta``; both take
+    arrays of radii.  The plain stretching is beta = 0, the default.
+    """
 
     profile: RadialProfile
+    beta: callable = _no_phase
+    beta_dot: callable = _no_phase
 
     @property
     def k(self) -> int:
         return self.profile.k
 
+    def _phase(self, pts, r) -> np.ndarray:
+        return self.k * np.arctan2(pts[..., 1], pts[..., 0]) + np.asarray(self.beta(r))
+
     def __call__(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         r = np.hypot(pts[..., 0], pts[..., 1])
-        theta = np.arctan2(pts[..., 1], pts[..., 0])
         psi = self.profile.modulus(r)
-        kt = self.k * theta
-        return np.stack([psi * np.cos(kt), psi * np.sin(kt)], axis=-1)
+        phi = self._phase(pts, r)
+        return np.stack([psi * np.cos(phi), psi * np.sin(phi)], axis=-1)
 
     def jacobian_matrix(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
-        x, y = pts[..., 0], pts[..., 1]
-        r = np.hypot(x, y)
-        theta = np.arctan2(y, x)
+        r = np.hypot(pts[..., 0], pts[..., 1])
         psi = self.profile.modulus(r)
         psi_r = self.profile.modulus_dot(r)
-        kt = self.k * theta
-        ck, sk = np.cos(kt), np.sin(kt)
-        ur = np.stack([psi_r * ck, psi_r * sk], axis=-1)
-        ut = np.stack([-self.k * psi / r * sk, self.k * psi / r * ck], axis=-1)
+        bd = np.asarray(self.beta_dot(r))
+        phi = self._phase(pts, r)
+        cp, sp = np.cos(phi), np.sin(phi)
+        ur = np.stack([psi_r * cp - psi * bd * sp, psi_r * sp + psi * bd * cp], axis=-1)
+        ut = np.stack([-self.k * psi / r * sp, self.k * psi / r * cp], axis=-1)
         return polar_jacobian(pts, r, ur, ut)
 
     def as_planar_map(self, radius: float | None = None) -> PlanarMap:
@@ -415,25 +411,6 @@ class GeneralisedStretching:
             break_radii=radii,
             name=f"stretching_k{self.k}",
         )
-
-
-def stretching_jacobian_check(
-    s: GeneralisedStretching,
-    datum: RadialDatum,
-    radius_grid,
-) -> float:
-    """Max |J u - f| over the grid, with J computed by finite differences."""
-    radius_grid = np.asarray(radius_grid, dtype=float)
-    rho = s.profile.rho(radius_grid)
-    keep = rho > 1e-9 * max(float(np.max(rho)), 1e-300)
-    rs = radius_grid[keep]
-    worst = 0.0
-    pmap = s.as_planar_map(radius=float(np.max(radius_grid)) * 1.001)
-    for a in (0.37, 2.1):
-        pts = np.stack([rs * np.cos(a), rs * np.sin(a)], axis=-1)
-        jac = det2(pmap.jacobian_fd(pts))
-        worst = max(worst, float(np.max(np.abs(jac - datum.f(rs)), initial=0.0)))
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -499,9 +476,9 @@ def _rho_terms(prof: RadialProfile, anchor, offset):
 
 
 def sobolev_energy_1d(s: GeneralisedStretching, p: float, radius: float) -> float:
-    """2 pi * integral_0^R (rho_dot^2/|k| + |k| rho^2/r^2)^p r dr.
+    """2 pi * integral_0^R ((rho_dot^2 + rho^2 beta_dot^2)/|k| + |k| rho^2/r^2)^p r dr.
 
-    For p = 1, k = 1 this is exactly the squared-gradient integral of the
+    For p = 1 this is exactly the squared-gradient integral of the
     stretching over the disc of radius R.  It is math.inf when rho vanishes
     at some r0 in (0, R] with |r0 f(r0-)| or |r0 f(r0+)| above the
     profile's roundoff floor: there rho_dot^2 ~ r0 f / (2 |r - r0|), which
@@ -529,7 +506,8 @@ def sobolev_energy_1d(s: GeneralisedStretching, p: float, radius: float) -> floa
 
     def integrand(anchor, offset):
         r, rho2, rho_dot2 = _rho_terms(prof, anchor, offset)
-        return (rho_dot2 / k + k * rho2 / r**2) ** p * r
+        twist2 = rho2 * np.asarray(s.beta_dot(r)) ** 2
+        return ((rho_dot2 + twist2) / k + k * rho2 / r**2) ** p * r
 
     cuts = {0.0, R} | {float(b) for b in prof.datum.breakpoints() if 0.0 < b < R}
     cuts |= {v for v in vanishing if v < R}

@@ -19,8 +19,8 @@ from pjac.constructions import (
 )
 from pjac.energy import jacobian_residual, lipschitz_estimate, region_energy
 from pjac.errors import OriginEvaluation, OutsideWedge
-from pjac.geometry import det2, polar_lift, sample_circle
-from pjac.maps import continuity_report, rotate_map
+from pjac.geometry import det2
+from pjac.maps import continuity_report, fd_jacobian, rotate_map
 from pjac.radial import truncated_derivative_energy
 from pjac.regions import disc, quasi_random_points
 
@@ -42,7 +42,7 @@ def test_eta_constant_jacobian(rng):
         break_distance=eta.break_distance,
     )
     assert np.max(np.abs(det2(eta.jacobian(pts)) - 2 / math.pi)) < 1e-12
-    fd = det2(eta.jacobian_fd(pts[:4000]))
+    fd = det2(fd_jacobian(eta.fn, pts[:4000]))
     assert np.max(np.abs(fd - 2 / math.pi)) < 1e-5
 
 
@@ -212,7 +212,7 @@ def test_assembly_conjugation_identity(rng):
     left = det2(u.jacobian(pts))
     right = det2(vmap.jac(chart.fwd(pts)))
     assert np.max(np.abs(left - right)) < 1e-10
-    fd = det2(u.jacobian_fd(pts[:200]))
+    fd = det2(fd_jacobian(u.fn, pts[:200]))
     assert np.max(np.abs(fd - right[:200])) < 1e-5
 
 
@@ -258,6 +258,14 @@ def test_assembly_lipschitz_stable_in_eps():
     assert max(values) < 2 * min(values)
 
 
+def polar_lift(fn, r, n):
+    """(psi, gamma) with fn = psi e^{i gamma} on n uniform angles of |z| = r;
+    gamma is continued to the nearest branch from sample to sample."""
+    theta = np.arange(n) * (2 * np.pi / n)
+    v = fn(r * np.stack([np.cos(theta), np.sin(theta)], axis=-1))
+    return np.hypot(v[:, 0], v[:, 1]), np.unwrap(np.arctan2(v[:, 1], v[:, 0]))
+
+
 def test_assembly_reduced_jacobian_identity():
     # for circles-to-circles maps: d/dr(psi^2) * dgamma/dtheta = 2 r f
     eps = 0.5
@@ -265,9 +273,9 @@ def test_assembly_reduced_jacobian_identity():
     pmap = stretch.as_planar_map()
     datum = layered_datum(eps)
     r, h = 1.5, 1e-6
-    lifts = [polar_lift(sample_circle(pmap, rr, 512)) for rr in (r - h, r + h)]
-    dpsi2 = (lifts[1].psi ** 2 - lifts[0].psi ** 2) / (2 * h)
-    dgamma = np.gradient(lifts[0].gamma, 2 * np.pi / 512)
+    (psi0, gamma), (psi1, _) = (polar_lift(pmap, rr, 512) for rr in (r - h, r + h))
+    dpsi2 = (psi1**2 - psi0**2) / (2 * h)
+    dgamma = np.gradient(gamma, 2 * np.pi / 512)
     product = dpsi2 * dgamma
     assert np.max(np.abs(product - 2 * r * datum.f(np.array([r])))) < 1e-5
 

@@ -5,21 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pjac.errors import (
-    NonPositiveRadius,
-    OriginHit,
-    PointOnCurve,
-    UndersampledCurve,
-)
-from pjac.geometry import (
-    CircleSamples,
-    cofactor,
-    det2,
-    frobenius,
-    polar_lift,
-    sample_circle,
-    winding_number,
-)
+from pjac.errors import PointOnCurve
+from pjac.geometry import cofactor, det2, frobenius, winding_number
 
 finite = st.floats(-10, 10, allow_nan=False)
 
@@ -75,80 +62,6 @@ def test_frobenius_matches_definition(rng):
     assert np.allclose(frobenius(mats), np.sqrt((mats**2).sum(axis=(1, 2))))
 
 
-# -- polar lift --------------------------------------------------------------
-
-
-def test_polar_lift_identity_circle():
-    lift = polar_lift(sample_circle(lambda p: p, 1.0, 64))
-    assert lift.winding == 1
-    assert np.allclose(lift.psi, 1.0)
-
-
-def test_polar_lift_degree_minus_three():
-    def fn(pts):
-        t = np.arctan2(pts[..., 1], pts[..., 0])
-        return 2.0 * np.stack([np.cos(-3 * t), np.sin(-3 * t)], axis=-1)
-
-    lift = polar_lift(sample_circle(fn, 1.0, 64))
-    assert lift.winding == -3
-    assert np.allclose(lift.psi, 2.0)
-
-
-def test_polar_lift_modulated_circle():
-    # direct-evaluation oracle: psi(theta) = 2 + cos(theta)
-    def fn(pts):
-        t = np.arctan2(pts[..., 1], pts[..., 0])
-        return (2 + np.cos(t))[..., None] * np.stack([np.cos(t), np.sin(t)], axis=-1)
-
-    samples = sample_circle(fn, 1.0, 256)
-    lift = polar_lift(samples)
-    assert lift.winding == 1
-    assert np.allclose(lift.psi, 2 + np.cos(samples.theta), atol=1e-12)
-
-
-def test_polar_lift_reconstruction_and_closure(rng):
-    def fn(pts):
-        t = np.arctan2(pts[..., 1], pts[..., 0])
-        r = 1.5 + 0.3 * np.sin(2 * t)
-        phase = 2 * t + 0.2 * np.cos(t)
-        return r[..., None] * np.stack([np.cos(phase), np.sin(phase)], axis=-1)
-
-    samples = sample_circle(fn, 1.0, 512)
-    lift = polar_lift(samples)
-    rec = lift.reconstruct()
-    scale = np.abs(samples.values).max()
-    assert np.max(np.abs(rec - samples.values)) < 1e-10 * scale
-    # unwrapping invariants
-    assert np.max(np.abs(np.diff(lift.gamma))) < np.pi
-    assert lift.winding == 2
-
-
-def test_polar_lift_rejects_origin():
-    values = np.ones((32, 2))
-    values[5] = 0.0
-    theta = np.arange(32) * (2 * np.pi / 32)
-    with pytest.raises(OriginHit):
-        polar_lift(CircleSamples(radius=1.0, theta=theta, values=values))
-
-
-def test_polar_lift_rejects_undersampled():
-    def fn(pts):
-        t = np.arctan2(pts[..., 1], pts[..., 0])
-        return np.stack([np.cos(5 * t), np.sin(5 * t)], axis=-1)
-
-    with pytest.raises(UndersampledCurve):
-        polar_lift(sample_circle(fn, 1.0, 16))
-
-
-def test_circle_samples_validation():
-    with pytest.raises(ValueError):
-        CircleSamples(radius=1.0, theta=np.arange(8) / 8, values=np.ones((8, 2)))
-    with pytest.raises(NonPositiveRadius):
-        CircleSamples(
-            radius=0.0, theta=np.arange(16) * (2 * np.pi / 16), values=np.ones((16, 2))
-        )
-
-
 # -- winding numbers ---------------------------------------------------------
 
 
@@ -166,10 +79,15 @@ def _crossing_count_oracle(verts, point):
     return total
 
 
+def _unit_circle(n):
+    t = np.arange(n) * (2 * np.pi / n)
+    return np.stack([np.cos(t), np.sin(t)], axis=-1)
+
+
 def test_winding_unit_circle():
-    samples = sample_circle(lambda p: p, 1.0, 64)
-    assert winding_number(samples, (0.0, 0.0)) == 1
-    assert winding_number(samples, (2.0, 0.0)) == 0
+    circle = _unit_circle(64)
+    assert winding_number(circle, (0.0, 0.0)) == 1
+    assert winding_number(circle, (2.0, 0.0)) == 0
 
 
 def test_winding_double_cover():
@@ -181,9 +99,9 @@ def test_winding_double_cover():
 
 
 def test_winding_rejects_point_on_curve():
-    samples = sample_circle(lambda p: p, 1.0, 64)
+    circle = _unit_circle(64)
     with pytest.raises(PointOnCurve):
-        winding_number(samples, samples.values[3])
+        winding_number(circle, circle[3])
 
 
 def test_winding_rotation_invariance(rng):

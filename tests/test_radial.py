@@ -12,8 +12,9 @@ from pjac.errors import (
     OrientationMismatch,
     PreconditionViolated,
 )
+from pjac.geometry import det2
+from pjac.maps import fd_jacobian
 from pjac.radial import (
-    ConstExpr,
     GaussExpr,
     GeneralisedStretching,
     Piece,
@@ -26,7 +27,6 @@ from pjac.radial import (
     profile_from_datum,
     sobolev_energy_1d,
     split_bound_check,
-    stretching_jacobian_check,
     truncated_derivative_energy,
     truncated_gaussian_datum,
     uniform_datum,
@@ -48,7 +48,7 @@ def test_cumulative_against_quadrature_oracle():
         pieces=(
             Piece(0.0, 1.0, PolyExpr(coeffs=(0.5, 1.0, -0.25))),
             Piece(1.0, 2.5, GaussExpr(c=2.0, sigma=0.8)),
-            Piece(2.5, 3.0, ConstExpr(1.0)),
+            Piece(2.5, 3.0, PolyExpr((1.0,))),
             Piece(3.0, 4.0, PolyExpr(coeffs=(4.0, -1.0))),
         ),
         support_radius=4.0,
@@ -63,10 +63,10 @@ def test_cumulative_against_quadrature_oracle():
 
 def test_datum_validation():
     with pytest.raises(ValueError):
-        RadialDatum(pieces=(Piece(0.5, 1.0, ConstExpr(1.0)),))
+        RadialDatum(pieces=(Piece(0.5, 1.0, PolyExpr((1.0,))),))
     with pytest.raises(ValueError):
         RadialDatum(
-            pieces=(Piece(0.0, 1.0, ConstExpr(1.0)), Piece(1.5, 2.0, ConstExpr(1.0)))
+            pieces=(Piece(0.0, 1.0, PolyExpr((1.0,))), Piece(1.5, 2.0, PolyExpr((1.0,))))
         )
 
 
@@ -101,13 +101,23 @@ def test_profile_orientation_mismatch():
         profile_from_datum(uniform_datum(1.0, 3.0), -1)
 
 
+def _fd_jacobian_gap(stretch, datum, radius_grid):
+    """Max |det Du - f| with Du by finite differences, on two rays at the radii
+    where rho does not vanish."""
+    rho = stretch.profile.rho(radius_grid)
+    rs = radius_grid[rho > 1e-9 * float(np.max(rho))]
+    pts = np.concatenate([np.stack([rs * np.cos(a), rs * np.sin(a)], axis=-1)
+                          for a in (0.37, 2.1)])
+    return float(np.max(np.abs(det2(fd_jacobian(stretch, pts)) - datum.f(np.tile(rs, 2)))))
+
+
 def test_stretching_jacobian_every_degree():
     d = uniform_datum(1.0, 3.0)
     grid = np.linspace(0.2, 2.8, 40)
     for k in (1, 4, -2):
         datum = d if k > 0 else uniform_datum(-1.0, 3.0)
         stretch = GeneralisedStretching(profile_from_datum(datum, k))
-        assert stretching_jacobian_check(stretch, datum, grid) < 1e-6
+        assert _fd_jacobian_gap(stretch, datum, grid) < 1e-6
 
 
 def test_stretching_jacobian_layered_away_from_jumps():
@@ -119,19 +129,36 @@ def test_stretching_jacobian_layered_away_from_jumps():
          np.linspace(2 + 1e-3, 2.95, 20)]
     )
     stretch = GeneralisedStretching(profile_from_datum(d, 1))
-    assert stretching_jacobian_check(stretch, d, grid) < 1e-5
+    assert _fd_jacobian_gap(stretch, d, grid) < 1e-5
 
 
 def test_stretching_closed_form_jacobian_matches_fd(rng):
-    d = truncated_gaussian_datum(1.0, 2.5)
-    pmap = GeneralisedStretching(profile_from_datum(d, 2)).as_planar_map()
+    prof = profile_from_datum(truncated_gaussian_datum(1.0, 2.5), 2)
     pts = rng.uniform(0.3, 1.5, size=(50, 1)) * np.stack(
         [np.cos(rng.uniform(0, 7, 50)), np.sin(rng.uniform(0, 7, 50))], axis=-1
     )
-    assert np.allclose(pmap.jacobian(pts), pmap.jacobian_fd(pts), atol=1e-5)
+    plain = GeneralisedStretching(prof)
+    twisted = GeneralisedStretching(prof, beta=lambda r: 0.4 * np.sin(1.3 * r),
+                                    beta_dot=lambda r: 0.52 * np.cos(1.3 * r))
+    for stretch in (plain, twisted):
+        pmap = stretch.as_planar_map()
+        assert np.allclose(pmap.jacobian(pts), fd_jacobian(pmap.fn, pts), atol=1e-5)
+    assert not np.allclose(twisted.jacobian_matrix(pts), plain.jacobian_matrix(pts))
 
 
 # -- 1-D energies ------------------------------------------------------------
+
+
+def test_energy_1d_counts_the_phase():
+    # rho = r for the uniform datum: |Du|^2 = 2 + r^2 beta_dot^2
+    prof = profile_from_datum(uniform_datum(1.0, 3.0), 1)
+    twisted = GeneralisedStretching(prof, beta=lambda r: 0.4 * np.sin(1.3 * r),
+                                    beta_dot=lambda r: 0.52 * np.cos(1.3 * r))
+    for p in (1, 2):
+        want = 2 * math.pi * quad(
+            lambda r: (2 + (0.52 * r * math.cos(1.3 * r)) ** 2) ** p * r, 0.0, 1.5,
+            epsabs=0.0, epsrel=1e-13)[0]
+        assert sobolev_energy_1d(twisted, p, 1.5) == pytest.approx(want, rel=1e-13)
 
 
 def test_energy_identity_on_disc():

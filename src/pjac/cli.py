@@ -101,12 +101,11 @@ def run_nonuniqueness(args) -> str:
     energies = radial.truncated_derivative_energy(profile, 2.0, deltas)
     slope = float(np.polyfit(np.log(1.0 / deltas), energies, 1)[0])
 
-    twisted = constructions.phase_twisted_stretching(
+    twisted = GeneralisedStretching(
         profile,
         beta=lambda r: 0.4 * np.sin(1.3 * np.asarray(r)),
         beta_dot=lambda r: 0.52 * np.cos(1.3 * np.asarray(r)),
-        radius=1.9,
-    )
+    ).as_planar_map(1.9)
     values = [
         energy.region_energy(rotate_map(twisted, a), args.p, disc(1.85), n=args.grid).value
         for a in (0.0, math.pi / 3.0, 1.0)
@@ -228,8 +227,8 @@ def _within(kind, what: str, low, high=math.inf):
 def _eps_list(text: str) -> list[float]:
     """argparse type: a comma-separated list of epsilons in [1e-16, 1].
 
-    Below 1e-16 the rho^2 = eps + r^2 - 1 layer at r = 1 is narrower than the
-    1-D energy rule resolves, and E_radial would be wrong.
+    The range is the one over which E_radial is tested against its closed
+    form.
     """
     try:
         values = [float(tok) for tok in text.split(",") if tok]

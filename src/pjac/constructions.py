@@ -41,24 +41,24 @@ _ROT45 = np.array([[_SQRT2 / 2, -_SQRT2 / 2], [_SQRT2 / 2, _SQRT2 / 2]])
 # ---------------------------------------------------------------------------
 
 
+def _fold(x, y, swap):
+    """(x, y), or (y, x) where ``swap``: each eta branch is the other one
+    conjugated by the swap of coordinates."""
+    return np.where(swap, y, x), np.where(swap, x, y)
+
+
 def _eta_fn(pts: np.ndarray) -> np.ndarray:
     pts = np.asarray(pts, dtype=float)
     x, y = pts[..., 0], pts[..., 1]
     r = np.hypot(x, y)
-    out = np.zeros_like(pts)
-    b1 = np.abs(y) < np.abs(x)
-    b2 = ~b1 & (r > 0)
-    # |y| < |x|: sgn(x) r/sqrt2 * (1, (4/pi) atan(y/x))
+    swap = ~(np.abs(y) < np.abs(x))
+    u, v = _fold(x, y, swap)
+    # |v| <= |u|: sgn(u) r/sqrt2 * (1, (4/pi) atan(v/u))
+    s = np.sign(u) * r / _SQRT2
     with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = np.where(b1, np.arctan(np.where(b1, y, 0.0) / np.where(b1, x, 1.0)), 0.0)
-        t2 = np.where(b2, np.arctan(np.where(b2, x, 0.0) / np.where(b2, y, 1.0)), 0.0)
-    s1 = np.sign(x) * r / _SQRT2
-    out[..., 0] = np.where(b1, s1, 0.0)
-    out[..., 1] = np.where(b1, s1 * (4.0 / np.pi) * t1, 0.0)
-    # |y| >= |x|: sgn(y) r/sqrt2 * ((4/pi) atan(x/y), 1)
-    s2 = np.sign(y) * r / _SQRT2
-    out[..., 0] = np.where(b2, s2 * (4.0 / np.pi) * t2, out[..., 0])
-    out[..., 1] = np.where(b2, s2, out[..., 1])
+        out = np.stack([s, s * (4.0 / np.pi) * np.arctan(v / u)], axis=-1)
+    out[swap] = out[swap][..., ::-1]
+    out[r == 0] = 0.0
     return out
 
 
@@ -68,39 +68,32 @@ def _eta_jac(pts: np.ndarray) -> np.ndarray:
     r = np.hypot(x, y)
     if np.any(r == 0):
         raise OriginEvaluation("no preferred derivative branch at the origin")
-    b1 = np.abs(y) < np.abs(x)
-    cx, cy = x / r, y / r
-    out = np.empty(pts.shape[:-1] + (2, 2))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(b1, np.arctan(np.where(b1, y, 0.0) / np.where(b1, x, 1.0)),
-                     np.arctan(np.where(b1, 0.0, x) / np.where(b1, 1.0, y)))
+    swap = ~(np.abs(y) < np.abs(x))
+    u, v = _fold(x, y, swap)
+    t, sgn = np.arctan(v / u), np.sign(u)
+    u, v = u / r, v / r  # direction cosines; one array per name keeps memory down
     c = 4.0 / (np.pi * _SQRT2)
-    sgn = np.where(b1, np.sign(x), np.sign(y))
-    # branch 1 rows: grad eta1 = sgn(x)/sqrt2 (cx, cy)
-    #               grad eta2 = sgn(x) c (cx t - cy, cy t + cx)
-    # branch 2 swaps the roles of the components (and of x and y)
-    out[..., 0, 0] = np.where(b1, sgn * cx / _SQRT2, sgn * c * (cx * t + cy))
-    out[..., 0, 1] = np.where(b1, sgn * cy / _SQRT2, sgn * c * (cy * t - cx))
-    out[..., 1, 0] = np.where(b1, sgn * c * (cx * t - cy), sgn * cx / _SQRT2)
-    out[..., 1, 1] = np.where(b1, sgn * c * (cy * t + cx), sgn * cy / _SQRT2)
+    # rows grad eta1 = sgn(u)/sqrt2 (u, v), grad eta2 = sgn(u) c (u t - v, v t + u);
+    # the swapped branch is P D P with P the swap
+    out = np.empty(pts.shape[:-1] + (2, 2))
+    out[..., 0, 0] = sgn * u / _SQRT2
+    out[..., 0, 1] = sgn * v / _SQRT2
+    out[..., 1, 0] = sgn * c * (u * t - v)
+    out[..., 1, 1] = sgn * c * (v * t + u)
+    out[swap] = out[swap][..., ::-1, ::-1]
     return out
 
 
 def _eta_inv(pts: np.ndarray) -> np.ndarray:
     pts = np.asarray(pts, dtype=float)
     a, b = pts[..., 0], pts[..., 1]
-    out = np.zeros_like(pts)
-    b1 = np.abs(b) <= np.abs(a)
+    swap = ~(np.abs(b) <= np.abs(a))
+    u, v = _fold(a, b, swap)
     nz = (np.abs(a) > 0) | (np.abs(b) > 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m1 = np.tan(np.pi * np.where(b1 & nz, b, 0.0) / (4.0 * np.where(b1 & nz, a, 1.0)))
-        m2 = np.tan(np.pi * np.where(~b1, a, 0.0) / (4.0 * np.where(~b1, b, 1.0)))
-    r1 = _SQRT2 * np.abs(a)
-    x1 = np.sign(a) * r1 / np.sqrt(1.0 + m1 * m1)
-    r2 = _SQRT2 * np.abs(b)
-    y2 = np.sign(b) * r2 / np.sqrt(1.0 + m2 * m2)
-    out[..., 0] = np.where(b1, x1, m2 * y2)
-    out[..., 1] = np.where(b1, m1 * x1, y2)
+    m = np.tan(np.pi * np.where(nz, v, 0.0) / (4.0 * np.where(nz, u, 1.0)))
+    x = np.sign(u) * (_SQRT2 * np.abs(u)) / np.sqrt(1.0 + m * m)
+    out = np.stack([x, m * x], axis=-1)
+    out[swap] = out[swap][..., ::-1]
     return out
 
 
@@ -604,22 +597,3 @@ def nonuniqueness_inner_profile() -> RadialProfile:
     datum, _ = nonuniqueness_datum()
     inner = RadialDatum(pieces=datum.pieces[:2], support_radius=2.0)
     return profile_from_datum(inner, -1)
-
-
-def phase_twisted_stretching(profile: RadialProfile, beta, beta_dot,
-                             radius: float) -> PlanarMap:
-    """psi(r) e^{i (k theta + beta(r))} on the disc of radius ``radius``.
-
-    The map is ``GeneralisedStretching(profile, beta, beta_dot)``: it solves
-    the same equation as the plain stretching while carrying extra derivative
-    energy psi^2 beta_dot^2.  Its break radii are the datum's breakpoints.
-    """
-    s = GeneralisedStretching(profile, beta, beta_dot)
-    breaks = tuple(float(b) for b in profile.datum.breakpoints() if 0 < b <= radius)
-    return PlanarMap(
-        fn=s,
-        domain=disc(float(radius)),
-        jac=s.jacobian_matrix,
-        break_radii=breaks,
-        name=f"twisted_k{s.k}",
-    )

@@ -597,8 +597,9 @@ def constant_jacobian_corrector(
 
     Each round rebuilds the flow with target g_n(x) = c / jdet(sigma_n(x)),
     renormalised to the domain mass; the trace records the composed residual
-    per iteration.  The iteration aborts with the best iterate when the
-    residual increases twice in a row.
+    per iteration.  After the last round it returns the iterate of least
+    residual; it raises CorrectorDiverged as soon as two rounds in a row
+    fail to lower the best residual.
     """
     if c <= 0:
         raise PreconditionViolated("target constant Jacobian must be positive")

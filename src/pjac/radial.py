@@ -303,21 +303,6 @@ class RadialProfile:
     def modulus_dot(self, r) -> np.ndarray:
         return self.rho_dot(r) / math.sqrt(abs(self.k))
 
-    def vanishing_radii(self) -> np.ndarray:
-        """Radii where rho hits zero (detected on a scan of the support)."""
-        R = self.datum.support_radius
-        grid = np.linspace(0.0, R, 4097)
-        rho = self.rho(grid)
-        scale = max(float(np.max(rho)), 1e-300)
-        small = rho <= 1e-9 * scale
-        flips = np.nonzero(small[:-1] != small[1:])[0]
-        a, b = grid[flips], grid[flips + 1]
-        for _ in range(60):  # bisect every transition of rho <= tol at once
-            m = 0.5 * (a + b)
-            left = (self.rho(m) <= 1e-9 * scale) == small[flips]
-            a, b = np.where(left, m, a), np.where(left, b, m)
-        return 0.5 * (a + b)
-
 
 def profile_from_datum(datum: RadialDatum, k: int) -> RadialProfile:
     """Build the degree-k profile, checking the orientation condition.
@@ -391,9 +376,7 @@ class GeneralisedStretching:
 
     def as_planar_map(self, radius: float | None = None) -> PlanarMap:
         R = radius if radius is not None else self.profile.datum.support_radius
-        breaks = [b for b in self.profile.datum.breakpoints() if 0.0 < b <= R]
-        breaks += [v for v in self.profile.vanishing_radii() if 0.0 < v <= R]
-        radii = tuple(sorted(set(breaks)))
+        radii = tuple(b for b in self.profile.datum.breakpoints() if 0.0 < b <= R)
 
         def break_distance(pts):
             pts = np.asarray(pts, dtype=float)
@@ -424,13 +407,13 @@ def _graded_integral(integrand, cuts) -> float:
     """Integral of ``integrand(anchor, offset)`` over [cuts[0], cuts[-1]].
 
     Each interval between consecutive cuts is split into panels that halve
-    toward both of its ends, down to 2^-53 of its length, and every panel
+    toward both of its ends, down to 2^-200 of its length, and every panel
     gets a fixed-order Gauss-Legendre rule, all summed in one numpy call.
     Each node is passed as its nearer cut plus an offset that, unlike the
     node itself, keeps its relative precision however close to the cut.
     """
     x, w = np.polynomial.legendre.leggauss(_GL_ORDER)
-    edges = np.concatenate([[0.0], 2.0 ** -np.arange(53.0, 0.0, -1.0)])
+    edges = np.concatenate([[0.0], 2.0 ** -np.arange(200.0, 0.0, -1.0)])
     half = 0.5 * np.diff(edges)[:, None]
     t = ((edges[:-1, None] + half) + half * x).ravel()  # offsets in (0, 1/2)
     wt = (half * w).ravel()
@@ -472,45 +455,45 @@ def _rho_terms(prof: RadialProfile, anchor, offset):
         start = np.asarray(datum._mass_at_start)[i + upper[m]]
         mass[m] = start + 0.5 * d * ((2.0 * s * pc.expr.value(s)) @ w)
     rho2 = np.clip(prof.sign * mass, 0.0, None)
-    return r, rho2, np.divide(rf**2, rho2, out=np.zeros_like(r), where=rho2 > 0)
+    blowup = np.where(np.abs(rf) > prof._rf_floor, np.inf, 0.0)  # as in rho_dot
+    return r, rho2, np.divide(rf**2, rho2, out=blowup, where=rho2 > 0)
 
 
 def sobolev_energy_1d(s: GeneralisedStretching, p: float, radius: float) -> float:
     """2 pi * integral_0^R ((rho_dot^2 + rho^2 beta_dot^2)/|k| + |k| rho^2/r^2)^p r dr.
 
     For p = 1 this is exactly the squared-gradient integral of the
-    stretching over the disc of radius R.  It is math.inf when rho vanishes
-    at some r0 in (0, R] with |r0 f(r0-)| or |r0 f(r0+)| above the
-    profile's roundoff floor: there rho_dot^2 ~ r0 f / (2 |r - r0|), which
-    is not integrable.  rho(0) = 0 always, and the first radius where rho
-    leaves zero is such an r0 only if rho vanishes identically below it.
-    Otherwise the integral is taken on a graded Gauss-Legendre rule cut at
-    the breakpoints of the datum and the radii where rho vanishes; it is
-    exact to roundoff for features wider than 2^-53 of a cut interval.  The
-    datum must be p-integrable at the origin (c r^alpha: alpha p > -2): a
-    divergence there is not detected.
+    stretching over the disc of radius R.  It is math.inf where rho
+    vanishes at r0 in (0, R] with |r0 f| on either side above the profile's
+    roundoff floor (rho_dot^2 ~ r0 f / (2 |r - r0|)): at piece ends of exact
+    mass 0, or at a sign change inside a piece that ``profile_from_datum``
+    clamped as roundoff, where the nodes see rho_dot = inf.  It is math.inf
+    too when the origin piece is c r^alpha with alpha p <= -2 (density ~
+    r^(alpha p + 1)); every other expression is bounded there.  Otherwise
+    the graded Gauss-Legendre rule cut at the datum's breakpoints is exact
+    to roundoff for features wider than 2^-200 of a cut interval.
     """
     if p < 1:
         raise ValueError("exponent p must be >= 1")
     prof = s.profile
+    datum = prof.datum
     k = abs(s.k)
     R = float(radius)
-    vanishing = [float(v) for v in prof.vanishing_radii() if 0.0 < v <= R]
-    zeros = vanishing
-    if zeros and prof.rho(np.array([0.5 * zeros[0]]))[0] > 0.0:
-        zeros = zeros[1:]  # the origin's own zero
-    for r0 in zeros:
-        sides = np.array([np.nextafter(r0, 0.0), np.nextafter(r0, math.inf)])
-        if np.max(np.abs(r0 * prof.datum.f(sides))) > prof._rf_floor:
-            return math.inf
+    origin = datum.pieces[0].expr
+    if isinstance(origin, PowerExpr) and origin.alpha * p <= -2.0:
+        return math.inf
+    for r0, mass in zip(datum._edges, datum._mass_at_start):
+        if 0.0 < r0 <= R and mass == 0.0:
+            sides = np.array([np.nextafter(r0, 0.0), np.nextafter(r0, math.inf)])
+            if np.max(np.abs(r0 * datum.f(sides))) > prof._rf_floor:
+                return math.inf
 
     def integrand(anchor, offset):
         r, rho2, rho_dot2 = _rho_terms(prof, anchor, offset)
         twist2 = rho2 * np.asarray(s.beta_dot(r)) ** 2
         return ((rho_dot2 + twist2) / k + k * rho2 / r**2) ** p * r
 
-    cuts = {0.0, R} | {float(b) for b in prof.datum.breakpoints() if 0.0 < b < R}
-    cuts |= {v for v in vanishing if v < R}
+    cuts = {0.0, R} | {float(b) for b in datum.breakpoints() if 0.0 < b < R}
     return 2.0 * math.pi * _graded_integral(integrand, sorted(cuts))
 
 

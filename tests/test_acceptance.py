@@ -335,14 +335,11 @@ def test_criterion_7_nonuniqueness_construction():
     oracle_slope = float(np.polyfit(np.log(1 / deltas), oracle, 1)[0])
     slope_ok = abs(slope - oracle_slope) < 0.25 * abs(oracle_slope)
 
-    from pjac.constructions import phase_twisted_stretching
-
-    twisted = phase_twisted_stretching(
+    twisted = GeneralisedStretching(
         prof,
         beta=lambda r: 0.4 * np.sin(1.3 * np.asarray(r)),
         beta_dot=lambda r: 0.52 * np.cos(1.3 * np.asarray(r)),
-        radius=1.9,
-    )
+    ).as_planar_map(1.9)
     energies = [
         region_energy(rotate_map(twisted, a), 1, disc(1.85), n=192).value
         for a in (0.0, math.pi / 3, 1.0)

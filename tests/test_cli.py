@@ -2,9 +2,13 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pjac.constructions as constructions
 import pjac.radial as radial
@@ -280,3 +284,75 @@ def test_json_outputs_round_trip(tmp_path, argv):
     doc = json.loads(text)
     assert isinstance(doc, dict) and doc
     assert json.dumps(doc, indent=2, allow_nan=False) + "\n" == text
+
+
+# valid and invalid values per flag; None marks a flag that takes no value.
+# moser-demo and --corrector on take seconds per run and are left out
+_ARGV_VALUES = {
+    "--p": ["1", "2", "1.5", "0.5", "nan", "x"],
+    "--grid": ["8", "32", "7", "-4", "abc"],
+    "--eps": ["0.5", "0.1", "1", "0", "1e-3,0.2", "1e-16", "2", "-0.1", "nan", ""],
+    "--seed": ["0", "3", "-1", "z"],
+    "--iters": ["1", "0"],
+    "--corrector": ["off", "maybe"],
+    "--datum": ["uniform", "gauss", "annulus", "power:0.5", "power:-0.9", "power:-2",
+                "bogus"],
+    "--competitor": ["phi1", "phi2", "phi3", "rot-phi1", "phi9"],
+    "--radii": ["1", "4", "0"],
+    "--map": ["eta", "shear", "wedge", "counterexample", "square"],
+    "--json": None,
+}
+_OWN_FLAGS = {
+    "energy-gap": ["--p", "--eps", "--iters", "--corrector"],
+    "zhukovsky": ["--p", "--datum", "--competitor", "--radii"],
+    "nonuniqueness": ["--p"],
+    "check-map": ["--eps", "--seed", "--map"],
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_OWN_FLAGS)))
+    argv = [command]
+    if command == "check-map":
+        argv += ["--map", draw(st.sampled_from(_ARGV_VALUES["--map"]))]
+    any_flag = st.sampled_from(_OWN_FLAGS[command]) | st.sampled_from(sorted(_ARGV_VALUES))
+    for flag in draw(st.lists(any_flag, max_size=3)):
+        argv.append(flag)
+        if _ARGV_VALUES[flag] is not None:
+            argv.append(draw(st.sampled_from(_ARGV_VALUES[flag])))
+    if command != "zhukovsky":  # the last --grid wins, so every run stays small
+        argv += ["--grid", draw(st.sampled_from(["8", "16", "32"]))]
+    return argv
+
+
+def _finite_numbers(doc):
+    if isinstance(doc, dict):
+        return all(_finite_numbers(v) for v in doc.values())
+    if isinstance(doc, list):
+        return all(_finite_numbers(v) for v in doc)
+    return not isinstance(doc, float) or math.isfinite(doc)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=_argv())
+def test_any_argv_exits_cleanly(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        rc = main(argv + ["--out", str(out)])
+        assert rc in (0, 2, 3), argv
+        if rc != 0:  # neither the output nor its temporary file is left
+            assert list(Path(tmp).iterdir()) == [], argv
+            return
+        text = out.read_text()
+    if argv[0] in ("nonuniqueness", "check-map"):
+        doc = json.loads(text, parse_constant=_refuse_constant)
+    else:
+        lines = text.strip().splitlines()
+        doc = [float(tok) for line in lines[1:] for tok in line.split(",")]
+        assert len(lines) > 1, argv
+    assert _finite_numbers(doc), argv

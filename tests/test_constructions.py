@@ -13,7 +13,6 @@ from pjac.constructions import (
     layered_profile,
     nonuniqueness_datum,
     nonuniqueness_inner_profile,
-    phase_twisted_stretching,
     shear_map,
     wedge_map,
 )
@@ -21,7 +20,7 @@ from pjac.energy import jacobian_residual, lipschitz_estimate, region_energy
 from pjac.errors import OriginEvaluation, OutsideWedge
 from pjac.geometry import det2
 from pjac.maps import continuity_report, fd_jacobian, rotate_map
-from pjac.radial import truncated_derivative_energy
+from pjac.radial import GeneralisedStretching, truncated_derivative_energy
 from pjac.regions import disc, quasi_random_points
 
 
@@ -331,12 +330,11 @@ def test_nonuniqueness_truncated_energy_slope():
 
 def test_phase_twisted_map_keeps_jacobian():
     prof = nonuniqueness_inner_profile()
-    twisted = phase_twisted_stretching(
+    twisted = GeneralisedStretching(
         prof,
         beta=lambda r: 0.4 * np.sin(1.3 * np.asarray(r)),
         beta_dot=lambda r: 0.52 * np.cos(1.3 * np.asarray(r)),
-        radius=1.9,
-    )
+    ).as_planar_map(1.9)
     datum, _ = nonuniqueness_datum()
     mx, _ = jacobian_residual(twisted, datum.as_field(), disc(1.8), n=2048, seed=7)
     assert mx < 1e-10
@@ -344,12 +342,11 @@ def test_phase_twisted_map_keeps_jacobian():
 
 def test_rotated_family_energy_spread():
     prof = nonuniqueness_inner_profile()
-    twisted = phase_twisted_stretching(
+    twisted = GeneralisedStretching(
         prof,
         beta=lambda r: 0.4 * np.sin(1.3 * np.asarray(r)),
         beta_dot=lambda r: 0.52 * np.cos(1.3 * np.asarray(r)),
-        radius=1.9,
-    )
+    ).as_planar_map(1.9)
     values = [
         region_energy(rotate_map(twisted, a), 1, disc(1.85), n=128).value
         for a in (0.0, math.pi / 3, 1.0)

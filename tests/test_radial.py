@@ -200,6 +200,14 @@ def test_energy_divergence_for_annulus_indicator():
         assert math.isinf(sobolev_energy_1d(stretch, p, 2.0))
 
 
+def test_energy_divergence_where_a_clamped_dip_ends():
+    # the mass -a r^2 + 2 r^3 / 3 dips to -a^3 / 3, within the roundoff that
+    # profile_from_datum clamps, and rho leaves 0 at r = 1.5 a with r f != 0
+    d = RadialDatum(pieces=(Piece(0.0, 1.0, PolyExpr((-3e-3, 1.0))),), support_radius=1.0)
+    stretch = GeneralisedStretching(profile_from_datum(d, 1))
+    assert math.isinf(sobolev_energy_1d(stretch, 1, 1.0))
+
+
 def test_energy_divergence_inner_balanced_profile():
     from pjac.constructions import nonuniqueness_inner_profile
 
@@ -243,17 +251,38 @@ def test_energy_layered_matches_closed_form(eps):
     assert abs(energy - closed) / closed <= 1e-13
 
 
-@pytest.mark.parametrize("alpha, rtol", [(-0.5, 1e-13), (-0.9, 1e-13), (-1.5, 1e-9)])
-def test_energy_power_law_matches_closed_form(alpha, rtol):
+def _power_law_closed_form(alpha, p):
     # rho^2 = 2 c r^(alpha+2) / (alpha+2), so the p = 1 density is
-    # c (2/(alpha+2) + (alpha+2)/2) r^alpha.  rho leaves its tolerance only
-    # at r0 ~ 1e-17 (alpha = -0.9), where r0 f(r0) is far from small: that is
-    # the origin's own zero, not a divergence.  The r^(alpha+1) integrand is
-    # resolved down to 2^-53 of its cut interval, hence the looser alpha = -1.5
+    # K r^alpha with K = c (2/(alpha+2) + (alpha+2)/2), and the energy on B_1
+    # is 2 pi K^p / (alpha p + 2)
     c = 2.0 / (2.0 + alpha)
-    closed = 2 * math.pi * c * (2 / (alpha + 2) + (alpha + 2) / 2) / (alpha + 2)
+    return 2 * math.pi * (c * (2 / (alpha + 2) + (alpha + 2) / 2)) ** p / (alpha * p + 2)
+
+
+def _power_law_energy(alpha, p):
     stretch = GeneralisedStretching(profile_from_datum(power_law_datum(alpha), 1))
-    assert sobolev_energy_1d(stretch, 1, 1.0) == pytest.approx(closed, rel=rtol)
+    return sobolev_energy_1d(stretch, p, 1.0)
+
+
+@pytest.mark.parametrize("alpha, rtol", [(-0.5, 1e-13), (-0.9, 1e-13), (-1.5, 1e-13)])
+def test_energy_power_law_matches_closed_form(alpha, rtol):
+    # the mass is positive on (0, 1], so rho vanishes only at the origin,
+    # which is no divergence for alpha > -2; the r^(alpha+1) density there is
+    # resolved down to 2^-200 of the cut interval
+    assert _power_law_energy(alpha, 1) == pytest.approx(
+        _power_law_closed_form(alpha, 1), rel=rtol)
+
+
+def test_energy_power_law_integrable_at_origin_for_p2():
+    # alpha p = -1.8 > -2: the density ~ r^-0.8 is integrable
+    assert _power_law_energy(-0.9, 2) == pytest.approx(
+        _power_law_closed_form(-0.9, 2), rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [-1.5, -1.0])
+def test_energy_power_law_diverges_at_origin_for_p2(alpha):
+    # alpha p <= -2: the density ~ r^(2 alpha + 1) is not integrable at 0
+    assert _power_law_energy(alpha, 2) == math.inf
 
 
 def test_truncated_energy_matches_high_precision_quadrature():

@@ -1,7 +1,7 @@
 """Quadrature of 2p-Dirichlet energies, Jacobian residuals, circle energies.
 
-Region energies use break-aligned composite Gauss-Legendre grids (polar for
-Euclidean discs/annuli, rotated-coordinate tensor grids for l1 balls).
+Region energies use break-aligned composite Gauss-Legendre grids in polar
+coordinates over Euclidean discs and annuli.
 Circle energies use the periodic trapezoid rule, which is spectrally accurate
 for smooth integrands.
 """
@@ -45,31 +45,10 @@ def composite_gl(edges, n_target: int):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _sector(constraints) -> tuple[float, float]:
-    """Angular interval cut out of [0, 2pi) by half-plane constraints."""
-    cs = set(constraints)
-    intervals = {
-        frozenset(): (0.0, TWO_PI),
-        frozenset({"x>0"}): (-np.pi / 2, np.pi / 2),
-        frozenset({"x<0"}): (np.pi / 2, 3 * np.pi / 2),
-        frozenset({"y>0"}): (0.0, np.pi),
-        frozenset({"y<0"}): (np.pi, TWO_PI),
-        frozenset({"x>0", "y>0"}): (0.0, np.pi / 2),
-        frozenset({"x<0", "y>0"}): (np.pi / 2, np.pi),
-        frozenset({"x<0", "y<0"}): (np.pi, 3 * np.pi / 2),
-        frozenset({"x>0", "y<0"}): (3 * np.pi / 2, TWO_PI),
-    }
-    try:
-        return intervals[frozenset(cs)]
-    except KeyError as exc:
-        raise ValueError(f"unsupported constraint set {cs}") from exc
-
-
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Nodes and weights for a region, aligned with declared breaks."""
 
-    region: Region
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -80,38 +59,20 @@ def build_grid(
     break_radii=(),
     break_angles=(),
 ) -> QuadratureGrid:
-    """A tensor quadrature grid with roughly n x n nodes over the region."""
-    if region.kind in ("disc", "annulus"):
-        r_lo = region.r_in
-        r_edges = [r_lo, region.r_out] + [
-            float(b) for b in break_radii if r_lo < b < region.r_out
-        ]
-        t_lo, t_hi = _sector(region.constraints)
-        t_edges = [t_lo, t_hi] + [float(a) for a in break_angles if t_lo < a < t_hi]
-        rs, wr = composite_gl(r_edges, n)
-        ts, wt = composite_gl(t_edges, n)
-        R, T = np.meshgrid(rs, ts, indexing="ij")
-        nodes = np.stack([R * np.cos(T), R * np.sin(T)], axis=-1).reshape(-1, 2)
-        weights = ((wr * rs)[:, None] * wt[None, :]).reshape(-1)
-        return QuadratureGrid(region, nodes, weights)
-
-    if region.kind in ("l1_ball", "l1_annulus"):
-        if region.constraints:
-            raise ValueError("constrained l1 regions are not gridded")
-        R = region.r_out
-        marks = sorted({region.r_in, R} | {float(b) for b in break_radii if 0 < b < R})
-        marks = [m for m in marks if m > 0]
-        edges = sorted({-m for m in marks} | set(marks) | {0.0})
-        # rotated coordinates s = x + y, t = x - y; |z|_1 = max(|s|, |t|)
-        ss, ws = composite_gl(edges, n)
-        ts, wt = composite_gl(edges, n)
-        S, T = np.meshgrid(ss, ts, indexing="ij")
-        W = 0.5 * ws[:, None] * wt[None, :]
-        keep = np.maximum(np.abs(S), np.abs(T)) > region.r_in
-        nodes = np.stack([(S + T) / 2.0, (S - T) / 2.0], axis=-1)[keep]
-        return QuadratureGrid(region, nodes.reshape(-1, 2), W[keep].reshape(-1))
-
-    raise ValueError(f"cannot grid region kind {region.kind!r}")
+    """A polar tensor quadrature grid with roughly n x n nodes over a disc or
+    an annulus without constraints."""
+    if region.kind not in ("disc", "annulus") or region.constraints:
+        raise ValueError(f"cannot grid region {region}")
+    r_edges = [region.r_in, region.r_out] + [
+        float(b) for b in break_radii if region.r_in < b < region.r_out
+    ]
+    t_edges = [0.0, TWO_PI] + [float(a) for a in break_angles if 0.0 < a < TWO_PI]
+    rs, wr = composite_gl(r_edges, n)
+    ts, wt = composite_gl(t_edges, n)
+    R, T = np.meshgrid(rs, ts, indexing="ij")
+    nodes = np.stack([R * np.cos(T), R * np.sin(T)], axis=-1).reshape(-1, 2)
+    weights = ((wr * rs)[:, None] * wt[None, :]).reshape(-1)
+    return QuadratureGrid(nodes, weights)
 
 
 @dataclass(frozen=True)
@@ -119,8 +80,6 @@ class EnergyReport:
     """A quadrature value of the 2p-energy with a two-level error estimate."""
 
     value: float
-    p: float
-    region: Region
     refinement_estimate: float
 
 
@@ -142,12 +101,7 @@ def region_energy(u: PlanarMap, p: float, region: Region, n: int = 256) -> Energ
     coarse = build_grid(region, max(n // 2, 8), u.break_radii, u.break_angles)
     v_fine = _energy_on_grid(u, p, fine)
     v_coarse = _energy_on_grid(u, p, coarse)
-    return EnergyReport(
-        value=v_fine,
-        p=p,
-        region=region,
-        refinement_estimate=abs(v_fine - v_coarse),
-    )
+    return EnergyReport(value=v_fine, refinement_estimate=abs(v_fine - v_coarse))
 
 
 def circle_energy(u: PlanarMap, p: float, r: float, n: int = 1024) -> float:

@@ -69,14 +69,13 @@ def _min_distance_to_polyline(pts: np.ndarray, point: np.ndarray) -> float:
 def winding_number(curve, point) -> int:
     """Signed winding number of a closed polyline around a point.
 
-    The polyline is the closure of the given vertices.  Points closer to the
-    polyline than 1e-12 times the curve diameter are rejected (PointOnCurve)
-    rather than perturbed: the result must be an exact integer, never a
-    heuristic rounding.
+    The polyline is the closure of the given vertices (a repeated closing
+    vertex only adds an edge of length zero).  Points closer to the polyline
+    than 1e-12 times the curve diameter are rejected (PointOnCurve) rather
+    than perturbed: the result must be an exact integer, never a heuristic
+    rounding.
     """
     pts = np.asarray(curve, dtype=float)
-    if np.allclose(pts[0], pts[-1], rtol=0, atol=0):
-        pts = pts[:-1]
     point = np.asarray(point, dtype=float)
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     diameter = float(np.hypot(*(hi - lo)))

@@ -24,7 +24,6 @@ MASK_RADIUS_FACTOR = 5e-4  # grid points this close to the curve (x diameter) ar
 class ImageCurve:
     """A closed polyline u(r e^{i theta}); samples include the closing point."""
 
-    source_radius: float
     samples: np.ndarray  # (n + 1, 2), last row equals the first
 
     def __post_init__(self):
@@ -54,7 +53,7 @@ def image_curve(u, r: float, n: int = 1024) -> ImageCurve:
     theta = np.arange(n + 1) * (TWO_PI / n)
     theta[-1] = 0.0  # close exactly
     pts = r * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    return ImageCurve(source_radius=float(r), samples=np.asarray(u(pts)))
+    return ImageCurve(samples=np.asarray(u(pts)))
 
 
 def curve_length(curve: ImageCurve) -> float:
@@ -70,8 +69,6 @@ class WindingField:
     invalid and excluded from both degree moments symmetrically.
     """
 
-    xs: np.ndarray
-    ys: np.ndarray
     winding: np.ndarray  # (ny, nx) int
     masked: np.ndarray   # (ny, nx) bool
     cell_area: float
@@ -123,8 +120,6 @@ def _mask_near_curve(verts: np.ndarray, xs: np.ndarray, ys: np.ndarray,
         i1 = np.searchsorted(xs, x1 + radius + dx)
         j0 = np.searchsorted(ys, y0 - radius - dy)
         j1 = np.searchsorted(ys, y1 + radius + dy)
-        if i0 == i1 or j0 == j1:
-            continue
         X, Y = np.meshgrid(xs[i0:i1], ys[j0:j1], indexing="xy")
         d = b[s] - a[s]
         denom = float(d @ d) or 1.0
@@ -148,7 +143,7 @@ def winding_field(curve: ImageCurve, resolution: int = 512) -> WindingField:
     winding = _scanline_winding(verts, xs, ys)
     mask = _mask_near_curve(verts, xs, ys, MASK_RADIUS_FACTOR * curve.diameter())
     winding[mask] = 0
-    return WindingField(xs=xs, ys=ys, winding=winding, masked=mask, cell_area=cell_area)
+    return WindingField(winding=winding, masked=mask, cell_area=cell_area)
 
 
 def degree_moments(curve: ImageCurve, resolution: int = 512) -> tuple[float, float]:

@@ -1,4 +1,4 @@
-"""Evaluatable planar maps with closed-form or finite-difference Jacobians."""
+"""Evaluatable planar maps with closed-form Jacobians."""
 
 from __future__ import annotations
 
@@ -44,18 +44,17 @@ class Interface:
 class PlanarMap:
     """A map from a planar region to the plane.
 
-    ``fn`` maps (..., 2) arrays of points to (..., 2) arrays of values.
-    ``jac`` (optional) returns closed-form Jacobian matrices; when absent,
-    central finite differences are used.  ``break_distance`` returns, for each
-    point, a conservative lower bound for the distance to any curve across
-    which derivatives may jump; ``break_radii``/``break_angles`` list the
-    polar-aligned subset of those curves for quadrature alignment.
+    ``fn`` maps (..., 2) arrays of points to (..., 2) arrays of values and
+    ``jac`` to (..., 2, 2) Jacobian matrices.  ``break_distance`` returns, for
+    each point, a conservative lower bound for the distance to any curve
+    across which derivatives may jump; ``break_radii``/``break_angles`` list
+    the polar-aligned subset of those curves for quadrature alignment.
     """
 
     fn: callable
     domain: Region
-    jac: callable | None = None
-    break_distance: callable | None = None
+    jac: callable
+    break_distance: callable
     break_radii: tuple = ()
     break_angles: tuple = ()
     interfaces: tuple = ()
@@ -65,14 +64,9 @@ class PlanarMap:
         return np.asarray(self.fn(np.asarray(pts, dtype=float)))
 
     def jacobian(self, pts) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        if self.jac is not None:
-            return np.asarray(self.jac(pts))
-        return fd_jacobian(self.fn, pts)
+        return np.asarray(self.jac(np.asarray(pts, dtype=float)))
 
     def breaks_clear(self, pts, margin: float) -> np.ndarray:
-        if self.break_distance is None:
-            return np.ones(np.asarray(pts).shape[:-1], dtype=bool)
         return np.asarray(self.break_distance(np.asarray(pts, dtype=float))) > margin
 
 
@@ -102,15 +96,11 @@ def rotate_map(u: PlanarMap, alpha: float) -> PlanarMap:
     def fn(pts):
         return u.fn(pts @ rot.T)
 
-    jac = None
-    if u.jac is not None:
-        def jac(pts):  # noqa: E306
-            return u.jac(pts @ rot.T) @ rot
+    def jac(pts):
+        return u.jac(pts @ rot.T) @ rot
 
-    bd = None
-    if u.break_distance is not None:
-        def bd(pts):  # noqa: E306
-            return u.break_distance(pts @ rot.T)
+    def bd(pts):
+        return u.break_distance(pts @ rot.T)
 
     return PlanarMap(
         fn=fn,
@@ -123,9 +113,7 @@ def rotate_map(u: PlanarMap, alpha: float) -> PlanarMap:
 
 
 def _mirrored_domain(domain: Region, axes: tuple) -> Region:
-    dropped = set()
-    for ax in axes:
-        dropped |= {f"{ax}>0", f"{ax}<0"}
+    dropped = {f"{ax}>0" for ax in axes}
     kept = tuple(c for c in domain.constraints if c not in dropped)
     return replace(domain, constraints=kept)
 
@@ -191,29 +179,25 @@ def reflect_extend(u: PlanarMap, axes: tuple = ("x", "y"), trace_tol: float = 1e
         val[..., 1] *= sy
         return val
 
-    jac = None
-    if u.jac is not None:
-        def jac(pts):  # noqa: E306
-            src, sx, sy = fold(pts)
-            m = np.asarray(u.jac(src)).copy()
-            # D(S u S) = S Du S with S = diag(sx, sy)
-            m[..., 0, 1] *= sx * sy
-            m[..., 1, 0] *= sx * sy
-            return m
+    def jac(pts):
+        src, sx, sy = fold(pts)
+        m = np.asarray(u.jac(src)).copy()
+        # D(S u S) = S Du S with S = diag(sx, sy)
+        m[..., 0, 1] *= sx * sy
+        m[..., 1, 0] *= sx * sy
+        return m
 
-    bd = None
-    if u.break_distance is not None:
-        def bd(pts):  # noqa: E306
-            src, _, _ = fold(pts)
-            inner = np.asarray(u.break_distance(src))
-            pts = np.asarray(pts, dtype=float)
-            # the axes themselves become potential derivative breaks
-            axis_d = np.full(pts.shape[:-1], np.inf)
-            if reflect_x:
-                axis_d = np.minimum(axis_d, np.abs(pts[..., 1]))
-            if reflect_y:
-                axis_d = np.minimum(axis_d, np.abs(pts[..., 0]))
-            return np.minimum(inner, axis_d)
+    def bd(pts):
+        src, _, _ = fold(pts)
+        inner = np.asarray(u.break_distance(src))
+        pts = np.asarray(pts, dtype=float)
+        # the axes themselves become potential derivative breaks
+        axis_d = np.full(pts.shape[:-1], np.inf)
+        if reflect_x:
+            axis_d = np.minimum(axis_d, np.abs(pts[..., 1]))
+        if reflect_y:
+            axis_d = np.minimum(axis_d, np.abs(pts[..., 0]))
+        return np.minimum(inner, axis_d)
 
     return PlanarMap(
         fn=fn,

@@ -1,4 +1,4 @@
-"""Numerical prescribed-Jacobian correction on convex quadrilaterals.
+"""Numerical prescribed-Jacobian correction on convex trapezoids.
 
 Pipeline: an explicit integral-operator solution of div xi = h with zero
 boundary values (Bogovskii formula over a smooth bump supported in an
@@ -9,12 +9,13 @@ interior ball), then a mass-transport flow
 whose time-one map sigma satisfies J sigma = g: along trajectories the
 quantity (s + (1-s) g)(Y_s) * det DY_s is conserved and equals g at s = 0.
 
-The quadrature works in bilinear chart coordinates (s, q) on [0, 1]^2, with
-composite Gauss-Legendre panels; the 1/|x - y| kernel singularity is split by
-a smooth radial cutoff in chart distance: the mollified far part rides the
-fixed panel grid, and the complementary near part is a local polar integral
-(the area element cancels the singularity) clipped exactly to the chart
-square.  The ray integral of the bump behind each kernel term has a closed
+The domain is a convex trapezoid whose sides P0P3 and P1P2 are parallel, so
+the bilinear chart onto it inverts with one division.  The quadrature works in
+chart coordinates (s, q) on [0, 1]^2, with composite Gauss-Legendre panels;
+the 1/|x - y| kernel singularity is split by a smooth radial cutoff in chart
+distance: the mollified far part rides the fixed panel grid, and the
+complementary near part is a local polar integral (the area element cancels
+the singularity) clipped exactly to the chart square.  The ray integral of the bump behind each kernel term has a closed
 form: on the chord where the ray meets the star ball the bump is a cubic in a
 quadratic weight, so the integrand is a polynomial of degree 7 in the ray
 parameter, integrated exactly by two Horner polynomials.  Field values get
@@ -71,10 +72,12 @@ def _cross(u, v):
 
 @dataclass(frozen=True)
 class QuadDomain:
-    """Convex quadrilateral with a bilinear chart from the unit square.
+    """Convex trapezoid with a bilinear chart from the unit square.
 
     Corners are counterclockwise; the chart is
     Y(s, q) = (1-s)(1-q) P0 + s (1-q) P1 + s q P2 + (1-s) q P3.
+    The sides P0P3 and P1P2 must be parallel: then the equation for q in the
+    chart's inverse loses its q^2 term and ``from_xy`` is one division.
     ``star_center``/``star_radius`` give an interior ball with respect to
     which the domain is star-shaped (automatic for convex quads).
     """
@@ -93,6 +96,9 @@ class QuadDomain:
             a, b, c = P[i], P[(i + 1) % 4], P[(i + 2) % 4]
             if _cross(b - a, c - b) <= 0:
                 raise DegenerateDomain("quadrilateral must be convex")
+        _, _, c, d = self._abcd
+        if abs(_cross(c, d)) >= 1e-14:
+            raise DegenerateDomain("sides P0P3 and P1P2 must be parallel")
         ctr = np.asarray(self.star_center, dtype=float)
         if self.star_radius <= 0 or not self.contains(ctr[None, :])[0]:
             raise DegenerateDomain("star ball must sit inside the domain")
@@ -131,17 +137,11 @@ class QuadDomain:
     def from_xy(self, pts) -> tuple[np.ndarray, np.ndarray]:
         a, b, c, d = self._abcd
         e = np.asarray(pts, dtype=float) - a
-        A = -_cross(c, d)
+        # the q^2 coefficient -cross(c, d) vanishes for parallel P0P3, P1P2
         B = _cross(e, np.broadcast_to(d, e.shape)) - _cross(c, b)
         C = _cross(e, np.broadcast_to(b, e.shape))
-        if abs(A) < 1e-14:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                qv = -C / B
-        else:
-            disc = np.maximum(B * B - 4.0 * A * C, 0.0)
-            r1 = (-B + np.sqrt(disc)) / (2 * A)
-            r2 = (-B - np.sqrt(disc)) / (2 * A)
-            qv = np.where(np.abs(r1 - 0.5) <= np.abs(r2 - 0.5), r1, r2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            qv = -C / B
         denom_vec = b + d * qv[..., None]
         num = e - c * qv[..., None]
         denom = np.sum(denom_vec * denom_vec, axis=-1)
@@ -190,25 +190,6 @@ def wedge_domain() -> QuadDomain:
         star_center=(1.25, 1.25),
         star_radius=0.34,
     )
-
-
-@dataclass(frozen=True)
-class _Bump:
-    """Unit-mass C^2 bump 4/(pi r^2) (1 - |y-c|^2/r^2)^3 on the star ball.
-
-    A polynomial profile varies on the whole ball scale instead of piling a
-    boundary layer at its rim, which keeps the ray integrals resolvable by
-    moderate-order quadrature.
-    """
-
-    center: np.ndarray
-    radius: float
-
-    def __call__(self, pts) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        u2 = np.sum((pts - self.center) ** 2, axis=-1) / self.radius**2
-        w = np.clip(1.0 - u2, 0.0, None)
-        return (4.0 / (math.pi * self.radius**2)) * w**3
 
 
 def panel_nodes(domain: QuadDomain, n_panels: int):
@@ -274,16 +255,17 @@ class VectorField:
         # cutoff radius in chart units: 2.5 panels wide, so the mollified
         # far part stays resolvable by the (equally anisotropic) panel grid
         self._delta = 2.5 / n_panels
-        self._bump = _Bump(
-            center=np.asarray(domain.star_center, dtype=float),
-            radius=float(domain.star_radius),
-        )
+        # the bump is the unit-mass C^2 profile 4/(pi r^2) (1 - |y-c|^2/r^2)^3
+        # on the star ball: it varies on the whole ball scale instead of
+        # piling a boundary layer at its rim
+        self._center = np.asarray(domain.star_center, dtype=float)
+        self._radius = float(domain.star_radius)
 
         self._sq, self._xy, self._w = panel_nodes(domain, n_panels)
         self._hy = np.asarray(h(self._xy), dtype=float)
         # y-only terms of the far-field kernel on the fixed panel grid
-        self._yc = self._xy - self._bump.center
-        self._c2 = np.einsum("ij,ij->i", self._yc, self._yc) - self._bump.radius**2
+        self._yc = self._xy - self._center
+        self._c2 = np.einsum("ij,ij->i", self._yc, self._yc) - self._radius**2
         self._wh = self._w * self._hy
 
         total = float(np.sum(self._w * self._hy))
@@ -316,9 +298,9 @@ class VectorField:
         chord mostly behind y loses no digits.  ``yc = y - c`` and
         ``c2 = |y - c|^2 - r^2`` depend on y only and may be passed in.
         """
-        r2 = self._bump.radius**2
+        r2 = self._radius**2
         if yc is None:
-            yc = ys - self._bump.center
+            yc = ys - self._center
             c2 = np.einsum("...i,...i->...", yc, yc) - r2
         d = x[..., None, :] - ys
         a2 = np.einsum("...i,...i->...", d, d)

@@ -249,7 +249,7 @@ def annulus_indicator_datum(r_in: float, r_out: float, value: float = 1.0) -> Ra
 # stretching profiles
 # ---------------------------------------------------------------------------
 
-_FAIL = 1e-6  # mass this negative is a genuine orientation violation
+_FAIL = 1e-6  # relative to the largest |cumulative/k|: a genuine orientation violation
 
 
 @dataclass(frozen=True)
@@ -308,22 +308,21 @@ def profile_from_datum(datum: RadialDatum, k: int) -> RadialProfile:
     """Build the degree-k profile, checking the orientation condition.
 
     cumulative / k must be nonnegative (up to roundoff) on a log-spaced check
-    grid; values below -1e-6 raise OrientationMismatch, smaller negatives are
-    clamped to zero.
+    grid; values below -1e-6 times the largest |cumulative / k| there raise
+    OrientationMismatch, smaller negatives are clamped to zero.
     """
-    if k == 0:
-        raise ValueError("degree k must be nonzero")
+    profile = RadialProfile(datum=datum, k=int(k))
     R = datum.support_radius
     grid = np.concatenate(
         [datum.breakpoints(), np.geomspace(1e-6 * R, R, 2048)]
     )
     signed = datum.cumulative(grid) / k
     worst = float(np.min(signed))
-    if worst < -_FAIL:
+    if worst < -_FAIL * float(np.max(np.abs(signed))):
         raise OrientationMismatch(
             f"cumulative/k reaches {worst:.3e}; wrong orientation for k={k}"
         )
-    return RadialProfile(datum=datum, k=int(k))
+    return profile
 
 
 def _no_phase(r):
@@ -531,14 +530,11 @@ class ConditionReport:
     lambda_star_radial: float
     average_condition_holds: bool
     orientation: str  # "nonnegative" | "nonpositive" | "mixed"
-    grid: np.ndarray
 
 
-def condition_report(datum: RadialDatum, radius_grid=None) -> ConditionReport:
+def condition_report(datum: RadialDatum) -> ConditionReport:
     R = datum.support_radius
-    if radius_grid is None:
-        radius_grid = np.geomspace(1e-4 * R, R * (1.0 - 1e-9), 2048)
-    grid = np.asarray(radius_grid, dtype=float)
+    grid = np.geomspace(1e-4 * R, R * (1.0 - 1e-9), 2048)
 
     cum = datum.cumulative(grid)
     scale = max(float(np.max(np.abs(cum))), 1e-300)
@@ -579,7 +575,6 @@ def condition_report(datum: RadialDatum, radius_grid=None) -> ConditionReport:
         lambda_star_radial=lambda_radial,
         average_condition_holds=lambda_star <= 1.0 + 1e-9,
         orientation=orientation,
-        grid=grid,
     )
 
 

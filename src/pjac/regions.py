@@ -2,12 +2,11 @@
 
 The l1 ball Q_r = {|x| + |y| < r} and annulus A1(r, R) carry the diamond
 geometry used by the explicit counterexample maps.  Regions support exact
-membership tests, areas, bounding boxes and quasi-random sampling.
+membership tests, bounding boxes and quasi-random sampling.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,9 +14,7 @@ from scipy.stats import qmc
 
 _HALF_PLANES = {
     "x>0": lambda p: p[..., 0] > 0,
-    "x<0": lambda p: p[..., 0] < 0,
     "y>0": lambda p: p[..., 1] > 0,
-    "y<0": lambda p: p[..., 1] < 0,
 }
 
 
@@ -30,8 +27,9 @@ def l1_norm(pts: np.ndarray) -> np.ndarray:
 class Region:
     """A planar domain: a disc or an annulus in either norm.
 
-    ``constraints`` intersects the base region with open half planes, which
-    covers the half and quadrant restrictions used by the reflections.
+    ``constraints`` intersects the base region with the open half planes
+    x > 0 and y > 0, which covers the half and quadrant restrictions used by
+    the reflections.
     """
 
     kind: str  # "disc" | "annulus" | "l1_ball" | "l1_annulus"
@@ -43,55 +41,33 @@ class Region:
         pts = np.asarray(pts, dtype=float)
         if self.kind in ("disc", "annulus"):
             rho = np.hypot(pts[..., 0], pts[..., 1])
-            mask = (rho < self.r_out) & (rho > self.r_in)
         elif self.kind in ("l1_ball", "l1_annulus"):
             rho = l1_norm(pts)
-            mask = (rho < self.r_out) & (rho > self.r_in)
         else:
             raise ValueError(f"unknown region kind {self.kind!r}")
+        mask = (rho < self.r_out) & (rho > self.r_in)
         for c in self.constraints:
             mask &= _HALF_PLANES[c](pts)
         return mask
-
-    def area(self) -> float:
-        if self.kind == "disc":
-            base = math.pi * self.r_out**2
-        elif self.kind == "annulus":
-            base = math.pi * (self.r_out**2 - self.r_in**2)
-        elif self.kind == "l1_ball":
-            base = 2.0 * self.r_out**2
-        elif self.kind == "l1_annulus":
-            base = 2.0 * (self.r_out**2 - self.r_in**2)
-        else:
-            raise ValueError(self.kind)
-        # base regions are symmetric about both axes, so each half-plane
-        # constraint halves the area exactly
-        return base * 0.5 ** len(self.constraints)
 
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         R = self.r_out
         lo, hi = np.array([-R, -R]), np.array([R, R])
         for c in self.constraints:
-            axis = 0 if c[0] == "x" else 1
-            if c[1] == ">":
-                lo[axis] = 0.0
-            else:
-                hi[axis] = 0.0
+            lo[0 if c[0] == "x" else 1] = 0.0
         return lo, hi
 
 
-def disc(radius: float, constraints: tuple = ()) -> Region:
-    return Region(kind="disc", r_out=float(radius), constraints=constraints)
+def disc(radius: float) -> Region:
+    return Region(kind="disc", r_out=float(radius))
 
 
-def annulus(r_in: float, r_out: float, constraints: tuple = ()) -> Region:
-    return Region(
-        kind="annulus", r_in=float(r_in), r_out=float(r_out), constraints=constraints
-    )
+def annulus(r_in: float, r_out: float) -> Region:
+    return Region(kind="annulus", r_in=float(r_in), r_out=float(r_out))
 
 
-def l1_ball(radius: float, constraints: tuple = ()) -> Region:
-    return Region(kind="l1_ball", r_out=float(radius), constraints=constraints)
+def l1_ball(radius: float) -> Region:
+    return Region(kind="l1_ball", r_out=float(radius))
 
 
 def l1_annulus(r_in: float, r_out: float, constraints: tuple = ()) -> Region:

@@ -225,7 +225,7 @@ def test_criterion_4_isoperimetry():
         )
         pts = radius[:, None] * np.stack([np.cos(turns * t), np.sin(turns * t)], -1)
         pts[-1] = pts[0]
-        curve = ImageCurve(source_radius=1.0, samples=pts)
+        curve = ImageCurve(samples=pts)
         i1, i2 = degree_moments(curve, resolution=256)
         length = curve_length(curve)
         margin = length**2 * 1.01 - 4 * math.pi * i2

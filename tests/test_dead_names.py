@@ -1,7 +1,8 @@
 """Every module-level name and method of the package is used by the package
 itself (its ``__init__`` exports included) or by the acceptance suite, and
 every module-level import is read by its own module.  A name that only unit
-tests reach is not part of the program."""
+tests reach is not part of the program.  Every field declared in a class body
+is read as an attribute somewhere in the package or its tests."""
 
 import ast
 from pathlib import Path
@@ -98,3 +99,32 @@ def test_no_import_is_unused():
         for name in _imported(tree) - _names_read(tree)
     )
     assert not unused, f"imported but never read: {unused}"
+
+
+def _fields(tree: ast.Module) -> set[str]:
+    """Annotated names declared directly in a module-level class body."""
+    return {
+        f"{cls.name}.{node.target.id}"
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    }
+
+
+def _attributes_loaded(tree: ast.Module) -> set[str]:
+    return {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_no_field_is_unread():
+    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    read = set().union(*(_attributes_loaded(ast.parse(path.read_text(), filename=str(path)))
+                         for path in files))
+    unread = sorted(
+        f"{path.name}:{name}" for path in sorted(PACKAGE.glob("*.py"))
+        for name in _fields(ast.parse(path.read_text(), filename=str(path)))
+        if name.split(".")[1] not in read
+    )
+    assert not unread, f"declared but never read: {unread}"

@@ -19,7 +19,7 @@ from pjac.energy import (
     zhukovsky_comparison,
 )
 from pjac.errors import BreakRadius, JacobianMismatch
-from pjac.maps import PlanarMap, rotate_map
+from pjac.maps import PlanarMap, fd_jacobian, rotate_map
 from pjac.radial import (
     GeneralisedStretching,
     power_law_datum,
@@ -28,33 +28,36 @@ from pjac.radial import (
     uniform_datum,
     zhukovsky,
 )
-from pjac.regions import annulus, disc, l1_ball
+from pjac.regions import annulus, disc
+
+
+def _no_breaks(p):
+    return np.full(np.asarray(p).shape[:-1], np.inf)
+
+
+def linear_map(mat, radius=3.0, name="map"):
+    """z -> mat z on the disc, with its constant Jacobian and no breaks."""
+    return PlanarMap(
+        fn=lambda p: np.asarray(p, dtype=float) @ mat.T,
+        domain=disc(radius),
+        jac=lambda p: np.broadcast_to(mat, np.asarray(p).shape[:-1] + (2, 2)),
+        break_distance=_no_breaks,
+        name=name,
+    )
 
 
 def identity_map(radius=3.0):
-    return PlanarMap(
-        fn=lambda p: np.asarray(p, dtype=float),
-        domain=disc(radius),
-        jac=lambda p: np.broadcast_to(np.eye(2), np.asarray(p).shape[:-1] + (2, 2)),
-        name="identity",
-    )
+    return linear_map(np.eye(2), radius, name="identity")
 
 
 # -- quadrature grids --------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "region",
-    [
-        disc(3.0),
-        annulus(1.0, 2.5),
-        disc(2.0, constraints=("x>0", "y>0")),
-        l1_ball(2.0),
-    ],
-)
+@pytest.mark.parametrize("region", [disc(3.0), annulus(1.0, 2.5)])
 def test_grid_weights_sum_to_area(region):
     grid = build_grid(region, n=64, break_radii=(1.0,))
-    assert abs(float(np.sum(grid.weights)) - region.area()) <= 1e-10 * region.area()
+    area = math.pi * (region.r_out**2 - region.r_in**2)
+    assert abs(float(np.sum(grid.weights)) - area) <= 1e-10 * area
     assert region.contains(grid.nodes).all()
 
 
@@ -82,18 +85,6 @@ def test_region_energy_matches_radial_oracle():
     rep = region_energy(pmap, 1, disc(3.0), n=256)
     oracle = sobolev_energy_1d(stretch, 1, 3.0)
     assert abs(rep.value - oracle) < 1e-4 * oracle
-
-
-def test_region_energy_squeeze_on_diamond():
-    eps = 0.25
-    mat = np.array([[1.0, 0.0], [0.0, eps]])
-    u = PlanarMap(
-        fn=lambda p: p @ mat.T,
-        domain=l1_ball(1.0),
-        jac=lambda p: np.broadcast_to(mat, np.asarray(p).shape[:-1] + (2, 2)),
-    )
-    rep = region_energy(u, 1, l1_ball(1.0), n=32)
-    assert np.isclose(rep.value, 2 * (1 + eps**2), rtol=1e-12)
 
 
 def test_region_energy_refinement_decreases():
@@ -176,6 +167,7 @@ def test_jacobian_residual_shear():
     assert mx < 1e-6
     # finite differences against the same field
     fd_map = PlanarMap(fn=vmap.fn, domain=vmap.domain,
+                       jac=lambda p: fd_jacobian(vmap.fn, p),
                        break_distance=vmap.break_distance)
     mx_fd, _ = jacobian_residual(fd_map, field, vmap.domain, n=2048, seed=1)
     assert mx_fd < 1e-6
@@ -186,6 +178,7 @@ def test_jacobian_residual_wedge():
     mx, _ = jacobian_residual(wmap, jdet, wmap.domain, seed=2)
     assert mx < 1e-12
     fd_map = PlanarMap(fn=wmap.fn, domain=wmap.domain,
+                       jac=lambda p: fd_jacobian(wmap.fn, p),
                        break_distance=wmap.break_distance)
     mx_fd, _ = jacobian_residual(fd_map, jdet, wmap.domain, n=2048, seed=2)
     assert mx_fd < 1e-5
@@ -196,11 +189,7 @@ def test_jacobian_residual_wedge():
 
 def test_lipschitz_identity_and_dilation():
     assert np.isclose(lipschitz_estimate(identity_map(), disc(1.0), n=100), math.sqrt(2))
-    double = PlanarMap(
-        fn=lambda p: 2.0 * np.asarray(p, dtype=float),
-        domain=disc(1.0),
-        jac=lambda p: np.broadcast_to(2 * np.eye(2), np.asarray(p).shape[:-1] + (2, 2)),
-    )
+    double = linear_map(2 * np.eye(2), 1.0)
     assert np.isclose(lipschitz_estimate(double, disc(1.0), n=100), 2 * math.sqrt(2))
 
 
@@ -228,10 +217,11 @@ def test_zhukovsky_comparison_identity_case():
 def test_region_energy_rejects_non_finite_maps():
     from pjac.errors import EvaluationFailure
 
-    bad = PlanarMap(
-        fn=lambda p: np.asarray(p, dtype=float) / 0.0,
-        domain=disc(1.0),
-    )
+    def fn(p):
+        return np.asarray(p, dtype=float) / 0.0
+
+    bad = PlanarMap(fn=fn, domain=disc(1.0), jac=lambda p: fd_jacobian(fn, p),
+                    break_distance=_no_breaks)
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(EvaluationFailure):
             region_energy(bad, 1, disc(1.0), n=16)
@@ -257,10 +247,6 @@ def test_zhukovsky_comparison_power_law_self():
 
 def test_zhukovsky_comparison_rejects_wrong_jacobian():
     f1 = uniform_datum(1.0, 3.0)
-    wrong = PlanarMap(
-        fn=lambda p: 1.3 * np.asarray(p, dtype=float),
-        domain=disc(3.0),
-        jac=lambda p: np.broadcast_to(1.3 * np.eye(2), np.asarray(p).shape[:-1] + (2, 2)),
-    )
+    wrong = linear_map(1.3 * np.eye(2))
     with pytest.raises(JacobianMismatch):
         zhukovsky_comparison(f1, wrong, 1, np.linspace(0.4, 2.0, 4))

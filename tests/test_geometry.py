@@ -88,6 +88,8 @@ def test_winding_unit_circle():
     circle = _unit_circle(64)
     assert winding_number(circle, (0.0, 0.0)) == 1
     assert winding_number(circle, (2.0, 0.0)) == 0
+    # a repeated closing vertex is an edge of length zero
+    assert winding_number(np.vstack([circle, circle[:1]]), (0.0, 0.0)) == 1
 
 
 def test_winding_double_cover():

@@ -21,7 +21,7 @@ def circle_curve(radius=1.0, n=1024, turns=1, center=(0.0, 0.0)):
     t = np.linspace(0, 2 * np.pi, n + 1)
     pts = center + radius * np.stack([np.cos(turns * t), np.sin(turns * t)], axis=-1)
     pts[-1] = pts[0]
-    return ImageCurve(source_radius=1.0, samples=pts)
+    return ImageCurve(samples=pts)
 
 
 def test_curve_length_circle():
@@ -88,7 +88,7 @@ def test_degree_moments_excessive_masking():
     pts = np.stack([2 * np.cos(t), 0.004 * np.sin(t)], axis=-1)
     pts[-1] = pts[0]
     with pytest.raises(ExcessiveMasking):
-        degree_moments(ImageCurve(source_radius=1.0, samples=pts), resolution=128)
+        degree_moments(ImageCurve(samples=pts), resolution=128)
 
 
 def test_isoperimetric_equality_for_degree_one():
@@ -133,7 +133,7 @@ def test_isoperimetric_invariance_under_rotation_and_resampling():
     alpha = 0.9
     rot = np.array([[np.cos(alpha), -np.sin(alpha)], [np.sin(alpha), np.cos(alpha)]])
     rotated = isoperimetric_check(
-        ImageCurve(1.0, image_curve(pmap, 1.0, n=1024).samples @ rot.T), area
+        ImageCurve(image_curve(pmap, 1.0, n=1024).samples @ rot.T), area
     )
     resampled = isoperimetric_check(image_curve(pmap, 1.0, n=2048), area)
     assert np.isclose(base.lhs / base.rhs, rotated.lhs / rotated.rhs, rtol=1e-9)
@@ -153,7 +153,7 @@ def test_generalised_inequality_on_random_curves(rng):
         )
         pts = radius[:, None] * np.stack([np.cos(turns * t), np.sin(turns * t)], -1)
         pts[-1] = pts[0]
-        curve = ImageCurve(source_radius=1.0, samples=pts)
+        curve = ImageCurve(samples=pts)
         i1, i2 = degree_moments(curve, resolution=256)
         length = curve_length(curve)
         assert 4 * math.pi * i2 <= length**2 * 1.01

@@ -27,6 +27,14 @@ def bump_density(p):
     return 1.0 + 0.5 * np.cos(np.pi * np.sqrt(r2)) * np.exp(-4 * r2)
 
 
+def star_bump(domain, pts):
+    """The Bogovskii weight: the unit-mass C^2 bump 4/(pi r^2) (1 - |y-c|^2/r^2)^3
+    on the domain's star ball."""
+    center, radius = np.asarray(domain.star_center, dtype=float), domain.star_radius
+    u2 = np.sum((np.asarray(pts, dtype=float) - center) ** 2, axis=-1) / radius**2
+    return (4.0 / (np.pi * radius**2)) * np.clip(1.0 - u2, 0.0, None) ** 3
+
+
 # -- domains ------------------------------------------------------------------
 
 
@@ -55,11 +63,21 @@ def test_quad_domain_rejects_bad_corners():
                    star_center=(2.0, 2.0), star_radius=0.1)
 
 
+def test_quad_domain_needs_a_pair_of_parallel_sides():
+    # convex and counterclockwise, but no side is parallel to its opposite
+    with pytest.raises(DegenerateDomain, match="parallel"):
+        QuadDomain(corners=((0, 0), (2, 0), (1.5, 1), (0, 1.2)),
+                   star_center=(0.8, 0.5), star_radius=0.1)
+    # P0P1 parallel to P2P3 is the other pair: the chart inverse needs P0P3 || P1P2
+    with pytest.raises(DegenerateDomain, match="parallel"):
+        QuadDomain(corners=((0, 0), (2, 0), (1.5, 1), (0.5, 1)),
+                   star_center=(1.0, 0.5), star_radius=0.1)
+
+
 def test_bump_has_unit_mass():
     dom = wedge_domain()
-    bump = moser._Bump(center=np.asarray(dom.star_center), radius=dom.star_radius)
     _, xy, w = panel_nodes(dom, 48)
-    assert abs(float(np.sum(w * bump(xy))) - 1.0) < 1e-6
+    assert abs(float(np.sum(w * star_bump(dom, xy))) - 1.0) < 1e-6
 
 
 # -- the divergence solver -----------------------------------------------------
@@ -125,10 +143,10 @@ def test_bogovskii_vanishes_on_and_outside_boundary():
 
 def _ray_integral_reference(field, x, y):
     """(x - y) * integral_1^inf bump(y + t (x - y)) t dt by adaptive quadrature."""
-    bump = field._bump
+    dom = field.domain
     d = x - y
-    yc = y - bump.center
-    a, b, c = d @ d, 2.0 * (d @ yc), yc @ yc - bump.radius**2
+    yc = y - np.asarray(dom.star_center, dtype=float)
+    a, b, c = d @ d, 2.0 * (d @ yc), yc @ yc - dom.star_radius**2
     disc = b * b - 4.0 * a * c
     if a == 0.0 or disc <= 0.0:
         return np.zeros(2)
@@ -136,7 +154,7 @@ def _ray_integral_reference(field, x, y):
     hi = (-b + np.sqrt(disc)) / (2.0 * a)
     if hi <= lo:
         return np.zeros(2)
-    val, _ = quad(lambda t: float(bump(y + t * d)) * t, lo, hi,
+    val, _ = quad(lambda t: float(star_bump(dom, y + t * d)) * t, lo, hi,
                   epsabs=0.0, epsrel=1e-13, limit=200)
     return d * val
 
@@ -171,7 +189,7 @@ def test_kernel_closed_form_matches_quadrature():
     own = np.array([field._kernel(x, y[None, :])[0] for x, y in zip(xs, ys)])
     assert np.array_equal(np.any(own != 0.0, axis=-1), hits)
     # precomputed y-only terms give the same numbers
-    yc = ys - field._bump.center
+    yc = ys - np.asarray(field.domain.star_center)
     c2 = np.sum(yc * yc, axis=-1) - r**2
     assert np.array_equal(field._kernel(xs[2], ys, yc, c2), field._kernel(xs[2], ys))
 

@@ -26,6 +26,9 @@ from .radial import (
 from .regions import Region, annulus, quasi_random_points
 
 _GL_ORDER = 4
+# grid nodes per Jacobian call: each (block, 2, 2) temporary stays at 1 MB
+# instead of growing with the whole grid
+_BLOCK = 1 << 15
 
 
 def composite_gl(edges, n_target: int):
@@ -69,8 +72,8 @@ def build_grid(
     t_edges = [0.0, TWO_PI] + [float(a) for a in break_angles if 0.0 < a < TWO_PI]
     rs, wr = composite_gl(r_edges, n)
     ts, wt = composite_gl(t_edges, n)
-    R, T = np.meshgrid(rs, ts, indexing="ij")
-    nodes = np.stack([R * np.cos(T), R * np.sin(T)], axis=-1).reshape(-1, 2)
+    nodes = np.stack([np.multiply.outer(rs, np.cos(ts)),
+                      np.multiply.outer(rs, np.sin(ts))], axis=-1).reshape(-1, 2)
     weights = ((wr * rs)[:, None] * wt[None, :]).reshape(-1)
     return QuadratureGrid(nodes, weights)
 
@@ -84,18 +87,25 @@ class EnergyReport:
 
 
 def _energy_on_grid(u: PlanarMap, p: float, grid: QuadratureGrid) -> float:
-    jac = u.jacobian(grid.nodes)
-    dens = np.sum(jac * jac, axis=(-2, -1))
-    if not np.all(np.isfinite(dens)):
-        raise EvaluationFailure(f"{u.name} returned non-finite derivatives")
-    return float(np.sum(grid.weights * dens**p))
+    total = 0.0
+    for start in range(0, len(grid.weights), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        jac = u.jacobian(grid.nodes[block])
+        dens = np.sum(jac * jac, axis=(-2, -1))
+        if not np.all(np.isfinite(dens)):
+            raise EvaluationFailure(f"{u.name} returned non-finite derivatives")
+        total += float(np.sum(grid.weights[block] * dens**p))
+    return total
 
 
 def region_energy(u: PlanarMap, p: float, region: Region, n: int = 256) -> EnergyReport:
     """Quadrature of the 2p-energy over the region, on a break-aligned grid.
 
     Two grid levels are used; the report carries the finest value and the
-    difference between levels as the refinement estimate.
+    difference between levels as the refinement estimate.  Each level is
+    summed over consecutive blocks of 2^15 nodes, one Jacobian call per
+    block, so the temporaries stay a few MB at any grid size; a non-finite
+    derivative in any block raises EvaluationFailure.
     """
     fine = build_grid(region, n, u.break_radii, u.break_angles)
     coarse = build_grid(region, max(n // 2, 8), u.break_radii, u.break_angles)

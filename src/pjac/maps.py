@@ -113,7 +113,9 @@ def rotate_map(u: PlanarMap, alpha: float) -> PlanarMap:
 
 
 def _mirrored_domain(domain: Region, axes: tuple) -> Region:
-    dropped = {f"{ax}>0" for ax in axes}
+    # a reflection across the x axis mirrors y > 0 onto y < 0 and one across
+    # the y axis mirrors x > 0 onto x < 0, so each drops the other letter
+    dropped = {"y>0" if ax == "x" else "x>0" for ax in axes}
     kept = tuple(c for c in domain.constraints if c not in dropped)
     return replace(domain, constraints=kept)
 

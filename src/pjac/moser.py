@@ -27,8 +27,12 @@ Cost per evaluation point: a direct evaluation sums (4 N)^2 far-field kernel
 terms over the panel nodes (N = ``n_panels``) plus 48 x 14 near-field terms
 (midpoint angles times Gauss-Legendre radii), each a few dozen flops with no
 inner quadrature.  The near field runs for 32 points at a time, so ``h``, the
-chart and the kernel see one array of 32 x 672 nodes per chunk; the far field
-stays one pass per point.  A cached evaluation is one chart inversion and one
+chart and the kernel see one array of 32 x 672 nodes per chunk.  The far
+field runs for 4 points at a time against all panel nodes, with both vector
+components as contiguous blocks; only the pairs whose ray meets the star
+ball reach the square root and the closed form, and the cutoff ramp, which is
+1 beyond chart distance 2.5 / N, is computed only on the slice of panel rows
+within that distance in s.  A cached evaluation is one chart inversion and one
 spline query that shares the B-spline basis between both components.  A flow
 takes 4 cached evaluations per RK4 step, and each field gets the fewest of 8,
 16, 32 or 64 steps whose end-point coordinates change by at most
@@ -61,6 +65,9 @@ _ESCAPE_TOL = 5e-4  # chart units
 _MIN_STEPS, _STEPS, _MAX_STEPS = 8, 64, 256
 _STEP_TOL = 1e-4  # step-doubling tolerance on end points, in units of scale()
 _CHUNK = 32  # points per near-field batch: 32 x 672 nodes keep the temporaries small
+# points per far-field batch against all panel nodes: 4 x 6400 pairs at 20
+# panels; larger blocks run no faster and raise the peak memory
+_FAR_BLOCK = 4
 # near-field rule: midpoint angles times Gauss-Legendre radii per angle
 _N_PHI = 48
 _U_GL = np.polynomial.legendre.leggauss(14)
@@ -242,10 +249,11 @@ class VectorField:
     grid computed once per field.
 
     Cost: ``direct_eval`` evaluates the 48 x 14 polar nodes of 32 points at
-    a time in one array, then makes one pass per point over the 16
-    n_panels^2 panel nodes; ``eval`` builds the cache once, (cache - 1)^2
-    direct evaluations at the interior chart nodes, then costs one vector
-    spline query per point.
+    a time in one array, then the far field of 4 points at a time against
+    the 16 n_panels^2 panel nodes, with the ramp only on the panel rows
+    within the cutoff radius of each point; ``eval`` builds the cache once,
+    (cache - 1)^2 direct evaluations at the interior chart nodes, then costs
+    one vector spline query per point.
     """
 
     def __init__(self, h, domain: QuadDomain, n_panels: int = 20, cache: int = 48):
@@ -263,9 +271,11 @@ class VectorField:
 
         self._sq, self._xy, self._w = panel_nodes(domain, n_panels)
         self._hy = np.asarray(h(self._xy), dtype=float)
-        # y-only terms of the far-field kernel on the fixed panel grid
-        self._yc = self._xy - self._center
-        self._c2 = np.einsum("ij,ij->i", self._yc, self._yc) - self._radius**2
+        # the panel grid component-first, (2, 1, K), for blocks of points,
+        # and the y-only terms of the far-field kernel on it
+        self._xyt = self._xy.T[:, None, :].copy()
+        self._yc = self._xyt - self._center[:, None, None]
+        self._c2 = np.sum(self._yc * self._yc, axis=0) - self._radius**2
         self._wh = self._w * self._hy
 
         total = float(np.sum(self._w * self._hy))
@@ -278,12 +288,15 @@ class VectorField:
 
     # -- direct singular quadrature -----------------------------------------
 
-    def _kernel(self, x: np.ndarray, ys: np.ndarray, yc=None, c2=None) -> np.ndarray:
-        """(x - y) * integral_1^inf bump(y + t (x - y)) t dt for each y.
+    def _kernel(self, d: np.ndarray, yc: np.ndarray, c2: np.ndarray) -> np.ndarray:
+        """integral_1^inf bump(y + t d) t dt for each pair with d = x - y.
 
-        ``x`` of shape (2,) goes with ``ys`` of shape (K, 2), and ``x`` of
-        shape (P, 2) with ``ys`` of shape (P, K, 2); the result has the shape
-        of ``ys``.
+        ``d = x - y`` and ``yc = y - c`` hold their two components on the
+        first axis, so each component is one contiguous block;
+        ``c2 = |y - c|^2 - r^2`` broadcasts against ``d[0]``, the shape of
+        the result.  ``yc`` and ``c2`` depend on y only and are computed once
+        per field for the panel grid.  The kernel of the Bogovskii formula is
+        this weight times ``d``.
 
         On the chord t1 < t < t2 where the ray meets the star ball, the bump
         is (4/(pi r^2)) w^3 with weight w = (a2/r^2)(t - t1)(t2 - t) and
@@ -295,25 +308,22 @@ class VectorField:
         P3(v) = int_0^v u^3 (1-u)^3 du, Q(v) = int_0^v u^4 (1-u)^3 du, both
         in Horner form with the leading power of v factored out.  The bracket
         equals t1 P3 + L P4 (P4 = P3 - Q) but keeps both terms positive, so a
-        chord mostly behind y loses no digits.  ``yc = y - c`` and
-        ``c2 = |y - c|^2 - r^2`` depend on y only and may be passed in.
+        chord mostly behind y loses no digits.  Only pairs whose line meets
+        the ball (a positive discriminant, which also rules out x = y) reach
+        the square root, and only those whose chord ends beyond x reach the
+        polynomials.
         """
         r2 = self._radius**2
-        if yc is None:
-            yc = ys - self._center
-            c2 = np.einsum("...i,...i->...", yc, yc) - r2
-        d = x[..., None, :] - ys
-        a2 = np.einsum("...i,...i->...", d, d)
-        bh = np.einsum("...i,...i->...", d, yc)
+        a2 = d[0] * d[0] + d[1] * d[1]
+        bh = d[0] * yc[0] + d[1] * yc[1]
         disc = bh * bh - a2 * c2
-        out = np.zeros_like(d)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            sq = np.sqrt(disc)
-            t2 = (sq - bh) / a2
-        hit = (disc > 0) & (a2 > 0) & (t2 > 1.0)
-        if not hit.any():
-            return out
-        a2, sq, t2 = a2[hit], sq[hit], t2[hit]
+        out = np.zeros(disc.shape)
+        idx = np.flatnonzero(disc > 0.0)
+        a2, bh = a2.ravel()[idx], bh.ravel()[idx]
+        sq = np.sqrt(disc.ravel()[idx])
+        t2 = (sq - bh) / a2
+        ahead = t2 > 1.0
+        idx, a2, sq, t2 = idx[ahead], a2[ahead], sq[ahead], t2[ahead]
         length = 2.0 * sq / a2
         span = np.minimum(length, t2 - 1.0)  # L v
         v = span / length
@@ -323,8 +333,7 @@ class VectorField:
         scale = a2 * length * length / r2  # (a2/r^2)^3 L^7 = scale^3 L
         v2 = v * v
         bracket = t2 * p3 - span * q
-        inner = (4.0 / (math.pi * r2)) * scale**3 * length * (v2 * v2) * bracket
-        out[hit] = d[hit] * inner[:, None]
+        out.flat[idx] = (4.0 / (math.pi * r2)) * scale**3 * length * (v2 * v2) * bracket
         return out
 
     def _local_polar(self, xs: np.ndarray, s_star: np.ndarray,
@@ -357,10 +366,12 @@ class VectorField:
         ys = self.domain.to_xy(ss, qq)
         hv = np.asarray(self.h(ys.reshape(-1, 2)), dtype=float).reshape(ss.shape)
         jd = self.domain.chart_jdet(ss, qq)
-        k = self._kernel(xs, ys)
+        yc = np.moveaxis(ys - self._center, -1, 0)
+        d = np.moveaxis(xs[:, None, :] - ys, -1, 0)
+        k = self._kernel(d, yc, np.sum(yc * yc, axis=0) - self._radius**2)
         cut = 1.0 - _smoothstep(us / delta)
         wtot = (ws * us * cut).reshape(n, -1) * wphi * jd * hv
-        return np.sum(k * wtot[..., None], axis=-2)
+        return np.sum(d * (k * wtot), axis=-1).T
 
     def direct_eval(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
@@ -371,11 +382,21 @@ class VectorField:
         for start in range(0, len(inside), _CHUNK):
             idx = inside[start:start + _CHUNK]
             out[idx] = self._local_polar(flat[idx], s_all[idx], q_all[idx])
-        for i in inside:
-            dist = np.hypot(self._sq[:, 0] - s_all[i], self._sq[:, 1] - q_all[i])
-            ramp = _smoothstep(dist / self._delta)
-            k = self._kernel(flat[i], self._xy, self._yc, self._c2)
-            out[i] += (self._wh * ramp) @ k
+        # the ramp is 1 beyond chart distance delta; the panel nodes are
+        # s-major, so those within delta of a point in s form one slice
+        s_nodes = self._sq[:, 0]
+        lo = np.searchsorted(s_nodes, s_all - self._delta, side="left")
+        hi = np.searchsorted(s_nodes, s_all + self._delta, side="right")
+        for start in range(0, len(inside), _FAR_BLOCK):
+            idx = inside[start:start + _FAR_BLOCK]
+            d = flat[idx].T[:, :, None] - self._xyt
+            wk = self._kernel(d, self._yc, self._c2) * self._wh
+            for row, i in enumerate(idx):
+                near = self._sq[lo[i]:hi[i]]
+                dist = np.hypot(near[:, 0] - s_all[i], near[:, 1] - q_all[i])
+                wk[row, lo[i]:hi[i]] *= _smoothstep(dist / self._delta)
+            # sum_k wk d: one dot product per point and component
+            out[idx] += (d[:, :, None, :] @ wk[:, :, None])[:, :, 0, 0].T
         return out.reshape(pts.shape)
 
     # -- cached evaluation ---------------------------------------------------

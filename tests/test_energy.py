@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import pjac.energy as energy
 from pjac.constructions import (
+    assemble_counterexample,
     ball_to_square,
     layered_datum,
     layered_profile,
@@ -18,7 +21,7 @@ from pjac.energy import (
     region_energy,
     zhukovsky_comparison,
 )
-from pjac.errors import BreakRadius, JacobianMismatch
+from pjac.errors import BreakRadius, EvaluationFailure, JacobianMismatch
 from pjac.maps import PlanarMap, fd_jacobian, rotate_map
 from pjac.radial import (
     GeneralisedStretching,
@@ -111,6 +114,54 @@ def test_twice_jacobian_mass_lower_bound():
         energy = region_energy(pmap, 1, disc(3.0), n=128).value
         mass = math.pi * float(layered_datum(eps).cumulative(np.array([3.0]))[0])
         assert 2 * abs(mass) <= energy * (1 + 1e-9)
+
+
+# -- blocked accumulation -------------------------------------------------------
+
+
+def test_region_energy_over_several_blocks_matches_one_shot_sum():
+    grid = build_grid(disc(3.0), n=384)
+    assert len(grid.weights) > 3 * energy._BLOCK
+    u = identity_map()
+    rep = region_energy(u, 1, disc(3.0), n=384)
+    jac = u.jacobian(grid.nodes)
+    one_shot = float(np.sum(grid.weights * np.sum(jac * jac, axis=(-2, -1))))
+    assert np.isclose(rep.value, 18 * math.pi, rtol=1e-12)
+    assert abs(rep.value - one_shot) <= 1e-13 * one_shot
+
+
+def test_nonfinite_derivative_in_last_block_raises():
+    grid = build_grid(disc(3.0), n=384)
+    r = np.hypot(grid.nodes[:, 0], grid.nodes[:, 1])
+    last = (len(r) - 1) // energy._BLOCK * energy._BLOCK
+    # nodes run radius by radius, so the outermost ring lies in the last block
+    r_cut = float(np.max(r[:last]))
+    assert last > 0 and np.any(r[last:] > r_cut)
+    calls = []
+
+    def jac(p):
+        calls.append(len(p))
+        out = np.broadcast_to(np.eye(2), np.asarray(p).shape[:-1] + (2, 2)).copy()
+        out[np.hypot(p[..., 0], p[..., 1]) > r_cut] = np.nan
+        return out
+
+    u = PlanarMap(fn=lambda p: np.asarray(p, dtype=float), domain=disc(3.0), jac=jac,
+                  break_distance=_no_breaks, name="nan-rim")
+    with pytest.raises(EvaluationFailure, match="nan-rim"):
+        region_energy(u, 1, disc(3.0), n=384)
+    assert len(calls) == last // energy._BLOCK + 1
+    assert all(n == energy._BLOCK for n in calls[:-1])
+
+
+def test_region_energy_peak_memory_stays_blocked():
+    u = assemble_counterexample(0.01)
+    tracemalloc.start()
+    try:
+        region_energy(u, 1, disc(3.0), n=512)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 
 # -- circle energies ----------------------------------------------------------

@@ -109,13 +109,15 @@ def test_rotate_map_jacobian_field_rotates():
     assert np.allclose(rotated.jacobian(pts)[0], mat @ rot)
 
 
-@pytest.mark.xfail(strict=True, reason="known bug: _mirrored_domain drops 'x>0' "
-                   "for a reflection across the x axis and keeps 'y>0'")
 def test_reflect_across_x_axis_opens_the_lower_half():
     # reflecting across the x axis mirrors y > 0 onto y < 0, so the quadrant
-    # x, y > 0 becomes the half plane x > 0; assemble_counterexample's
-    # intermediate half-ring map has the same wrong domain, ("x>0",)
+    # x, y > 0 becomes the half plane x > 0
     half = reflect_extend(_fd_map(lambda p: np.asarray(p, dtype=float), QUADRANT),
                           axes=("x",))
     assert half.domain.constraints == ("x>0",)
     assert half.domain.contains(np.array([0.5, -0.5]))
+    # and across the y axis, x > 0 onto x < 0
+    upper = reflect_extend(_fd_map(lambda p: np.asarray(p, dtype=float), QUADRANT),
+                           axes=("y",))
+    assert upper.domain.constraints == ("y>0",)
+    assert upper.domain.contains(np.array([-0.5, 0.5]))

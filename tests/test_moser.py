@@ -159,6 +159,15 @@ def _ray_integral_reference(field, x, y):
     return d * val
 
 
+def _ray_weights(field, x, ys):
+    """The field's ray weight for one x against each row of ys, with the
+    y-only terms computed afresh; both the near and the far field sum
+    (x - y) times it."""
+    yc = (ys - np.asarray(field.domain.star_center, dtype=float)).T
+    c2 = np.sum(yc * yc, axis=0) - field.domain.star_radius**2
+    return field._kernel((x - ys).T, yc, c2)
+
+
 def test_kernel_closed_form_matches_quadrature():
     field = VectorField(lambda p: np.zeros(p.shape[:-1]), unit_square_domain(),
                         n_panels=4, cache=4)
@@ -183,19 +192,23 @@ def test_kernel_closed_form_matches_quadrature():
     hits = np.array([case[2] for case in cases])
     # every x against every y: the cases above plus many generic pairs
     for x in xs:
-        got = field._kernel(x, ys)
+        got = (x - ys) * _ray_weights(field, x, ys)[:, None]
         ref = np.array([_ray_integral_reference(field, x, y) for y in ys])
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0, err_msg=f"x = {x}")
-    own = np.array([field._kernel(x, y[None, :])[0] for x, y in zip(xs, ys)])
-    assert np.array_equal(np.any(own != 0.0, axis=-1), hits)
-    # precomputed y-only terms give the same numbers
-    yc = ys - np.asarray(field.domain.star_center)
-    c2 = np.sum(yc * yc, axis=-1) - r**2
-    assert np.array_equal(field._kernel(xs[2], ys, yc, c2), field._kernel(xs[2], ys))
+    own = np.array([_ray_weights(field, x, y[None, :])[0] for x, y in zip(xs, ys)])
+    assert np.array_equal(own != 0.0, hits)
+    # a block of points against the panel grid's precomputed y-only terms
+    # gives the weights of one point at a time with the terms computed afresh
+    d = xs.T[:, :, None] - field._xyt
+    block = field._kernel(d, field._yc, field._c2)
+    assert np.any(block != 0.0)
+    for x, row in zip(xs, block):
+        assert np.array_equal(row, _ray_weights(field, x, field._xy))
 
 
-@pytest.mark.parametrize("n", [1, 31, 32, 33])
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 9, 31, 32, 33])
 def test_direct_eval_chunks_match_pointwise(n):
+    # n straddles both the far-field block of 4 and the near-field chunk of 32
     field = _linear_wedge_field(6)
     corners = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
     edges = [[0.3, 0.0], [1.0, 0.6], [0.45, 1.0], [0.0, 0.2], [1e-3, 0.5]]
@@ -208,6 +221,26 @@ def test_direct_eval_chunks_match_pointwise(n):
                                                                      interior[:, 1])))))
     assert scale > 0.1
     assert float(np.max(np.abs(batched - single))) <= 1e-14 * scale
+
+
+def test_far_field_ramp_on_one_slice_matches_ramp_everywhere(monkeypatch):
+    field = _linear_wedge_field(6)
+    monkeypatch.setattr(field, "_local_polar", lambda xs, s, q: np.zeros_like(xs))
+    sq = np.concatenate([[[0.0, 0.5], [1.0, 0.999], [0.5, 0.0]],
+                         np.random.default_rng(3).random((6, 2))])
+    pts = field.domain.to_xy(sq[:, 0], sq[:, 1])
+    got = field.direct_eval(pts)
+    s, q = field.domain.from_xy(pts)
+    ref = []
+    for x, si, qi in zip(pts, s, q):
+        dist = np.hypot(field._sq[:, 0] - si, field._sq[:, 1] - qi)
+        ramp = moser._smoothstep(dist / field._delta)
+        d = (x - field._xy).T
+        w = field._kernel(d[:, None, :], field._yc, field._c2)[0]
+        ref.append(np.sum(d * (field._wh * ramp * w), axis=-1))
+    ref = np.array(ref)
+    assert float(np.max(np.abs(ref))) > 0.01
+    assert float(np.max(np.abs(got - ref))) <= 1e-13 * float(np.max(np.abs(ref)))
 
 
 def test_cache_evaluates_interior_nodes_only():

@@ -6,6 +6,9 @@ from scipy.integrate import quad
 
 from pjac.constructions import (
     DiamondChart,
+    _eta_inv,
+    _eta_inv_jac,
+    _eta_jac,
     assemble_counterexample,
     ball_to_square,
     boundary_identity_residual,
@@ -16,12 +19,12 @@ from pjac.constructions import (
     shear_map,
     wedge_map,
 )
-from pjac.energy import jacobian_residual, lipschitz_estimate, region_energy
+from pjac.energy import build_grid, jacobian_residual, lipschitz_estimate, region_energy
 from pjac.errors import OriginEvaluation, OutsideWedge
-from pjac.geometry import det2
-from pjac.maps import continuity_report, fd_jacobian, rotate_map
+from pjac.geometry import cofactor, det2
+from pjac.maps import continuity_report, fd_jacobian, reflect_extend, rotate_map
 from pjac.radial import GeneralisedStretching, truncated_derivative_energy
-from pjac.regions import disc, quasi_random_points
+from pjac.regions import disc, l1_norm, quasi_random_points
 
 
 # -- ball onto square ----------------------------------------------------------
@@ -70,6 +73,35 @@ def test_eta_jacobian_rejects_origin():
     eta, _ = ball_to_square()
     with pytest.raises(OriginEvaluation):
         eta.jacobian(np.array([[0.0, 0.0], [1.0, 0.5]]))
+
+
+def _eta_inverse_points(rng):
+    # both swap branches in all four quadrants, plus points within 1e-9 of
+    # the diagonals |b| = |a| on either side
+    a, b = rng.uniform(0.05, 3.0, size=(2, 4000))
+    far = np.concatenate([np.stack([a, b * np.minimum(a / b, 1.0) * 0.999], -1),
+                          np.stack([a * np.minimum(b / a, 1.0) * 0.999, b], -1)])
+    t = rng.uniform(0.05, 3.0, size=1000)
+    near = np.concatenate([np.stack([t, t + d], -1) for d in (-1e-9, -1e-12, 1e-12, 1e-9)])
+    signs = np.array([[1, 1], [-1, 1], [-1, -1], [1, -1]], dtype=float)
+    return np.concatenate([pts * s for s in signs for pts in (far, near)])
+
+
+def test_eta_inverse_jacobian_closed_form(rng):
+    pts = _eta_inverse_points(rng)
+    k = np.stack(_eta_inv_jac(pts[:, 0], pts[:, 1]), -1).reshape(-1, 2, 2)
+    assert {bool(s) for s in np.abs(pts[:, 1]) > np.abs(pts[:, 0])} == {False, True}
+    # the inverse of D eta at eta^-1(p)
+    d = _eta_jac(_eta_inv(pts))
+    inv = np.swapaxes(cofactor(d), -1, -2) / det2(d)[:, None, None]
+    rel = np.max(np.abs(k - inv), axis=(1, 2)) / np.max(np.abs(inv), axis=(1, 2))
+    assert float(np.max(rel)) <= 1e-13
+    # the finite-difference Jacobian of chart.inv, D chart^-1(w) = K(R^T w) R^T,
+    # at points farther than 1e-4 from the diagonals where the branches meet
+    chart, rot = DiamondChart(), ball_to_square()[1]
+    off = np.abs(np.abs(pts[:, 0]) - np.abs(pts[:, 1])) > 1e-4
+    w = pts[off] @ rot.T
+    assert np.max(np.abs(k[off] @ rot.T - fd_jacobian(chart.inv, w))) <= 1e-6
 
 
 # -- the shear of the diamond ----------------------------------------------------
@@ -213,6 +245,40 @@ def test_assembly_conjugation_identity(rng):
     assert np.max(np.abs(left - right)) < 1e-10
     fd = det2(fd_jacobian(u.fn, pts[:200]))
     assert np.max(np.abs(fd - right[:200])) < 1e-5
+
+
+def _composed_jacobian(eps):
+    # the competitor's Jacobian as the composition of its parts: the inverse
+    # chart's Jacobian by cofactor/det at the image, then (n, 2, 2) products
+    chart, vmap = DiamondChart(), shear_map(eps)
+    ring = reflect_extend(wedge_map(eps)[0], axes=("x", "y"))
+
+    def jac(z):
+        w = chart.fwd(z)
+        inner = l1_norm(w) <= 2.0
+        v, dw = np.empty(w.shape), np.empty(w.shape + (2,))
+        v[inner], dw[inner] = vmap.fn(w[inner]), vmap.jac(w[inner])
+        v[~inner], dw[~inner] = ring.fn(w[~inner]), ring.jac(w[~inner])
+        out = chart.jac(chart.inv(v))
+        out = np.swapaxes(cofactor(out), -1, -2) / det2(out)[..., None, None]
+        return out @ dw @ chart.jac(z)
+
+    return jac
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-5, 0.3, 1.0])
+def test_assembly_jacobian_matches_composition(eps):
+    u = assemble_counterexample(eps)
+    nodes = build_grid(disc(3.0), 320, u.break_radii, u.break_angles).nodes
+    assert len(nodes) >= 100_000
+    assert np.max(np.abs(u.jacobian(nodes) - _composed_jacobian(eps)(nodes))) <= 1e-12
+    pts = quasi_random_points(
+        disc(3.0), 2000, seed=8, min_break_distance=1e-3,
+        break_distance=u.break_distance,
+    )
+    assert np.max(np.abs(u.jacobian(pts) - fd_jacobian(u.fn, pts))) <= 1e-6
+    with pytest.raises(OriginEvaluation):
+        u.jacobian(np.array([[0.0, 0.0], [1.0, 0.5]]))
 
 
 def test_assembly_wedge_jacobian_range():

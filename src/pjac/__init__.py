@@ -7,7 +7,7 @@ from .geometry import (
     frobenius,
     winding_number,
 )
-from .maps import PlanarMap, continuity_report, fd_jacobian, reflect_extend, rotate_map
+from .maps import PlanarMap, continuity_report, fd_jacobian, rotate_map
 from .radial import (
     ConditionReport,
     GeneralisedStretching,

@@ -3,26 +3,27 @@ piecewise counterexample assembly, and the sign-changing balanced datum.
 
 All maps are continuous and piecewise smooth with closed-form branch
 Jacobians; interfaces between branches are declared so continuity can be
-audited by sampling.  The assembled competitor's Jacobian is evaluated in
-one pass per block of points, in 2x2 components (``assemble_counterexample``).
+audited by sampling.  The assembled competitor's value and Jacobian share
+one masked pass per block of points, the Jacobian in 2x2 components
+(``assemble_counterexample``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     ConstraintInfeasible,
     GluingMismatch,
+    IncompatibleTrace,
     OriginEvaluation,
     OutsideWedge,
 )
-from .maps import Interface, PlanarMap, reflect_extend
+from .maps import Interface, PlanarMap
 from .radial import (
     GeneralisedStretching,
     Piece,
@@ -84,18 +85,31 @@ def _eta_parts(x, y, jac=True):
     return r, (a, b), (e00, e01, e10, e11)
 
 
-def _eta_fn(pts: np.ndarray) -> np.ndarray:
-    r, ab, _ = _xy(partial(_eta_parts, jac=False))(pts)
+def _eta(pts, jac=False):
+    """eta at pts as an (..., 2) array, 0 at the origin, and with ``jac``
+    D eta as components (OriginEvaluation at the origin), else None."""
+    r, ab, d = _xy(partial(_eta_parts, jac=jac))(pts)
+    if jac and np.any(r == 0):
+        raise OriginEvaluation("no preferred derivative branch at the origin")
     out = np.stack(ab, axis=-1)
     out[r == 0] = 0.0
-    return out
+    return out, d
 
 
-def _eta_jac(pts: np.ndarray) -> np.ndarray:
-    r, _, d = _xy(_eta_parts)(pts)
-    if np.any(r == 0):
-        raise OriginEvaluation("no preferred derivative branch at the origin")
-    return _matrices(d)
+def _chart(z, jac=False):
+    """The chart w = R eta(z), a bijection of each disc B_r onto the diamond
+    Q_r, as components (wx, wy); with ``jac`` also D w / sqrt2, else None.
+
+    w is the matmul of eta by R^T, bit for bit (the corrector's FD Jacobian
+    magnifies a last-bit change of w ten thousandfold).  D w = R D eta with
+    R = h ((1, -1), (1, 1)) and h = sqrt2/2; one factor h is left for D(eta^-1)
+    R^T to take, since h h = 1/2 exactly and scaling by 1/2 is exact anywhere.
+    """
+    eta, d = _eta(z, jac)
+    wx, wy = np.moveaxis(eta @ _ROT45.T, -1, 0).copy()
+    if jac:
+        d = (0.5 * (d[0] - d[2]), 0.5 * (d[1] - d[3]), 0.5 * (d[0] + d[2]), 0.5 * (d[1] + d[3]))
+    return wx, wy, d
 
 
 def _mul2(p, q):
@@ -110,34 +124,29 @@ def _matrices(m):
     return np.stack(m, axis=-1).reshape(m[0].shape + (2, 2))
 
 
-def _eta_inv_jac(a, b):
-    """D(eta^-1) at (a, b) in closed form, as (k00, k01, k10, k11).
+def _eta_inv_parts(a, b, jac=False):
+    """eta^-1(a, b) as (x, y), or with ``jac`` D(eta^-1) there as
+    (k00, k01, k10, k11); the swap fold and phi are shared.
 
     On |b| <= |a|, eta^-1(a, b) = sqrt2 a (cos phi, sin phi) with
-    phi = pi b / (4 a), so d_a = sqrt2 (cos phi + phi sin phi, sin phi - phi cos phi)
-    and d_b = pi/(2 sqrt2) (-sin phi, cos phi); the swapped branch is P K P.
+    phi = pi b / (4 a), evaluated as sign(a) sqrt2 |a| (1, tan phi) / sqrt(1 +
+    tan^2 phi) (0 at the origin); so d_a = sqrt2 (cos phi + phi sin phi,
+    sin phi - phi cos phi) and d_b = pi/(2 sqrt2) (-sin phi, cos phi).  The
+    swapped branch is the other one conjugated by the swap.
     """
     swap = ~(np.abs(b) <= np.abs(a))
     p, q = _fold(a, b, swap)
-    phi = np.pi * q / (4.0 * p)
+    nz = (np.abs(a) > 0) | (np.abs(b) > 0)
+    phi = np.pi * np.where(nz, q, 0.0) / (4.0 * np.where(nz, p, 1.0))
+    if not jac:
+        m = np.tan(phi)
+        x = np.sign(p) * (_SQRT2 * np.abs(p)) / np.sqrt(1.0 + m * m)
+        return _fold(x, m * x, swap)
     cos, sin = np.cos(phi), np.sin(phi)
     k = np.pi / (2.0 * _SQRT2)
     k00, k11 = _fold(_SQRT2 * (cos + phi * sin), k * cos, swap)
     k01, k10 = _fold(-k * sin, _SQRT2 * (sin - phi * cos), swap)
     return k00, k01, k10, k11
-
-
-def _eta_inv(pts: np.ndarray) -> np.ndarray:
-    pts = np.asarray(pts, dtype=float)
-    a, b = pts[..., 0], pts[..., 1]
-    swap = ~(np.abs(b) <= np.abs(a))
-    u, v = _fold(a, b, swap)
-    nz = (np.abs(a) > 0) | (np.abs(b) > 0)
-    m = np.tan(np.pi * np.where(nz, v, 0.0) / (4.0 * np.where(nz, u, 1.0)))
-    x = np.sign(u) * (_SQRT2 * np.abs(u)) / np.sqrt(1.0 + m * m)
-    out = np.stack([x, m * x], axis=-1)
-    out[swap] = out[swap][..., ::-1]
-    return out
 
 
 def _diag_axis_distance(pts: np.ndarray) -> np.ndarray:
@@ -155,27 +164,14 @@ def ball_to_square() -> tuple[PlanarMap, np.ndarray]:
     R(eta(.)) carries the circle |z| = r onto the l1 sphere |w|_1 = r.
     """
     eta = PlanarMap(
-        fn=_eta_fn,
+        fn=lambda pts: _eta(pts)[0],
         domain=disc(math.inf),
-        jac=_eta_jac,
+        jac=lambda pts: _matrices(_eta(pts, jac=True)[1]),
         break_distance=_diag_axis_distance,
         break_angles=tuple(i * np.pi / 4 for i in range(1, 8)),
         name="ball_to_square",
     )
     return eta, _ROT45.copy()
-
-
-class DiamondChart:
-    """w = R(eta(z)): a bijection of each disc B_r onto the diamond Q_r."""
-
-    def fwd(self, pts: np.ndarray) -> np.ndarray:
-        return _eta_fn(np.asarray(pts, dtype=float)) @ _ROT45.T
-
-    def inv(self, pts: np.ndarray) -> np.ndarray:
-        return _eta_inv(np.asarray(pts, dtype=float) @ _ROT45)
-
-    def jac(self, pts: np.ndarray) -> np.ndarray:
-        return _ROT45 @ _eta_jac(np.asarray(pts, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +281,15 @@ def shear_map(eps: float) -> PlanarMap:
 
 def _wedge_parts(eps: float):
     """The wedge's second component per vertical strip (x <= 1, 1 < x <= 2,
-    x > 2), its Jacobian determinant ``jdet(x, y)``, and ``second(x, y)``:
-    the assembled component with its partials (s, s_x, s_y = jdet)."""
+    x > 2), its Jacobian determinant ``jdet(x, y)``, ``second(x, y)``: the
+    assembled component with its partials (s, s_x, s_y = jdet), and its domain.
+
+    Checks the construction invariants: ValueError unless eps lies in [0, 1],
+    ConstraintInfeasible if jdet dips below 1/2 on a 301 x 301 scan of the
+    domain, GluingMismatch if jdet jumps across x = 1 or x = 2.
+    """
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError("wedge parameter must lie in [0, 1]")
     strips = (
         lambda x, y: 0.5 * (2 * eps * (x - 1) * (x + y - 3) - x**2 + 3 * x + y**2 - y),
         lambda x, y: 0.5 * (x * (2 * y - 5) + x**2 + y**2 - 3 * y + 6),
@@ -306,24 +309,38 @@ def _wedge_parts(eps: float):
             jdet(x, y),
         )
 
-    return strips, jdet, second
+    domain = l1_annulus(2.0, 3.0, constraints=("x>0", "y>0"))
+    X, Y = np.meshgrid(np.linspace(1e-6, 3 - 1e-6, 301), np.linspace(1e-6, 3 - 1e-6, 301))
+    inside = domain.contains(np.stack([X, Y], axis=-1))
+    if inside.any() and float(np.min(jdet(X, Y)[inside])) < 0.5 - 1e-9:
+        raise ConstraintInfeasible("wedge Jacobian dips below 1/2")
+    for xc in (1.0, 2.0):
+        y = np.linspace(max(2 - xc, 0) + 1e-9, 3 - xc - 1e-9, 64)
+        left, right = jdet(np.full_like(y, xc - 1e-12), y), jdet(np.full_like(y, xc + 1e-12), y)
+        if float(np.max(np.abs(left - right))) > 1e-9:
+            raise GluingMismatch(f"wedge Jacobian jumps across x = {xc}")
+
+    return strips, jdet, second, domain
 
 
-def _wedge_pass(second, corrector, x, y):
-    """Value and Jacobian of the wedge map at points (x, y) of the quarter
-    ring, post-composed with ``corrector`` unless it is None, as the
-    components (v0, v1, d00, d01, d10, d11); sigma flows each point once.
+def _wedge_pass(second, corrector, jac, x, y):
+    """Value of the wedge map at points (x, y) of the quarter ring,
+    post-composed with ``corrector`` unless it is None, as (v0, v1); with
+    ``jac`` also its Jacobian, as (v0, v1, d00, d01, d10, d11).  sigma flows
+    each point once for the value and four more times for the FD D sigma.
     OutsideWedge is raised for points more than 1e-2 outside the ring."""
     if corrector is not None:
         pts = np.stack([x, y], axis=-1)
-        v0, v1, _, _, sx, sy = _xy(partial(_wedge_pass, second, None))(corrector.sigma(pts))
+        v = _xy(partial(_wedge_pass, second, None, jac))(corrector.sigma(pts))
+        if not jac:
+            return v
         ds = np.moveaxis(corrector.jacobian(pts).reshape(pts.shape[:-1] + (4,)), -1, 0)
-        return (v0, v1) + _mul2((1.0, 0.0, sx, sy), ds)
+        return v[:2] + _mul2((1.0, 0.0, v[4], v[5]), ds)
     worst = float(np.max(np.maximum.reduce([2.0 - x - y, x + y - 3.0, -x, -y])))
     if worst > 1e-2:
         raise OutsideWedge(f"points leave the wedge by {worst:.3e}")
     s, sx, sy = second(x, y)
-    return x, s, 1.0, 0.0, sx, sy
+    return (x, s, 1.0, 0.0, sx, sy) if jac else (x, s)
 
 
 def wedge_map(eps: float) -> tuple[PlanarMap, "callable"]:
@@ -339,14 +356,11 @@ def wedge_map(eps: float) -> tuple[PlanarMap, "callable"]:
         x in [1,2]: x + y - 3/2
         x in [2,3]: (x-1)/2 + y
 
-    Returns (map, jdet) with jdet the closed-form Jacobian determinant.
+    Returns (map, jdet) with jdet the closed-form Jacobian determinant; the
+    invariants are checked as in ``_wedge_parts``.
     """
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError("wedge parameter must lie in [0, 1]")
-
-    strips, jdet_xy, second = _wedge_parts(eps)
-    fn, jac = _fn_jac(partial(_wedge_pass, second, None))
-    jdet = _xy(jdet_xy)
+    strips, jdet, second, domain = _wedge_parts(eps)
+    fn, jac = _fn_jac(partial(_wedge_pass, second, None, True))
 
     def break_distance(pts):
         pts = np.asarray(pts, dtype=float)
@@ -362,32 +376,15 @@ def wedge_map(eps: float) -> tuple[PlanarMap, "callable"]:
         Interface(_vertical(1.0, 1.0, 2.0), inner, middle, "strip x=1"),
         Interface(_vertical(2.0, 0.0, 1.0), middle, outer, "strip x=2"),
     )
-
     pmap = PlanarMap(
         fn=fn,
-        domain=l1_annulus(2.0, 3.0, constraints=("x>0", "y>0")),
+        domain=domain,
         jac=jac,
         break_distance=break_distance,
         interfaces=interfaces,
         name=f"wedge_eps{eps:g}",
     )
-
-    # construction invariants: jdet >= 1/2 and Lipschitz across the strips
-    xs = np.linspace(1e-6, 3 - 1e-6, 301)
-    ys = np.linspace(1e-6, 3 - 1e-6, 301)
-    X, Y = np.meshgrid(xs, ys)
-    inside = pmap.domain.contains(np.stack([X, Y], axis=-1))
-    vals = jdet(np.stack([X, Y], axis=-1))
-    if inside.any() and float(np.min(vals[inside])) < 0.5 - 1e-9:
-        raise ConstraintInfeasible("wedge Jacobian dips below 1/2")
-    for xc in (1.0, 2.0):
-        y = np.linspace(max(2 - xc, 0) + 1e-9, 3 - xc - 1e-9, 64)
-        left = jdet(np.stack([np.full_like(y, xc - 1e-12), y], axis=-1))
-        right = jdet(np.stack([np.full_like(y, xc + 1e-12), y], axis=-1))
-        if float(np.max(np.abs(left - right))) > 1e-9:
-            raise GluingMismatch(f"wedge Jacobian jumps across x = {xc}")
-
-    return pmap, jdet
+    return pmap, _xy(jdet)
 
 
 # ---------------------------------------------------------------------------
@@ -432,88 +429,97 @@ def assemble_counterexample(eps: float, corrector=None) -> PlanarMap:
     corrector the outer-ring Jacobian is the wedge's (in [1/2, 2.5]), not the
     constant (6 - eps)/5.
 
-    ``jac`` is one pass per block: eta and D eta share one arctan, D(eta^-1)
-    is closed form, and one masked pass gives the diamond map's value and
-    Jacobian; about 200 ns per node on 32,768-node blocks (2-core Xeon, eps
-    0.01).  With the corrector each ring node is flowed five times.
+    ``fn``, ``jac`` and ``break_distance`` run one masked pass per block of
+    points: the chart, the shear everywhere, and the sign-folded wedge over it
+    on the ring outside Q_2.  ``jac`` takes eta and D eta from one arctan and
+    D(eta^-1) in closed form; about 200 ns per node on 32,768-node blocks
+    (2-core Xeon, eps 0.01).  With the corrector each ring node is flowed once
+    by ``fn`` and five times by ``jac``.
+
+    Construction checks, with ``trace_tol`` = max(1e-8, 10 x the corrector's
+    boundary displacement): the wedge's invariants (see ``_wedge_parts``;
+    ValueError unless eps lies in [0, 1]); IncompatibleTrace unless the ring's
+    first component vanishes on the y axis and its second on the x axis, each
+    read at 512 points 1e-9 x the bounding-box size inside the half ring
+    folded so far; GluingMismatch if the shear and the ring disagree by more
+    than ``trace_tol`` at 512 points on each edge of |w|_1 = 2.
     """
-    chart = DiamondChart()
-    vmap = shear_map(eps)
-    shear_vj, wedge_second = _shear_parts(eps)[1], _wedge_parts(eps)[2]
-    wedge, _ = wedge_map(eps)
+    second = _wedge_parts(eps)[2]
+    shear = _shear_parts(eps)[1]
     trace_tol = 1e-8  # largest trace gap allowed where the pieces meet
     if corrector is not None:
-        # the wedge post-composed with the corrector's flow sigma
-        base = wedge
-        wedge = replace(
-            base,
-            fn=lambda pts: base.fn(corrector.sigma(np.asarray(pts, dtype=float))),
-            jac=_fn_jac(partial(_wedge_pass, wedge_second, corrector))[1],
-            interfaces=(),
-            name=f"wedge_corrected_eps{eps:g}",
-        )
         trace_tol = max(trace_tol, 10.0 * corrector.boundary_displacement)
-    upper = reflect_extend(wedge, axes=("y",), trace_tol=trace_tol)
-    ring = reflect_extend(upper, axes=("x",), trace_tol=trace_tol)
+
+    def ring(x, y, jac=False):
+        # the wedge folded into the quadrant of (x, y): S u(S .) with S = diag(fx, fy)
+        fx, fy = np.where(x < 0, -1.0, 1.0), np.where(y < 0, -1.0, 1.0)
+        q = _wedge_pass(second, corrector, jac, np.abs(x), np.abs(y))
+        v = (fx * q[0], fy * q[1])
+        # D(S u S) = S Du S
+        return v + (q[2], fx * fy * q[3], fx * fy * q[4], q[5]) if jac else v
+
+    def diamond(z, jac=False):
+        # the diamond map at w = R eta(z): the shear everywhere, then the ring
+        # over it outside Q_2; returns (v0, v1, D diamond(w), D w / sqrt2)
+        wx, wy, c = _chart(z, jac)
+        v0, v1, *g = shear(wx, wy)
+        g = [np.array(np.broadcast_to(gi, wx.shape)) for gi in g] if jac else []
+        on = np.abs(wx) + np.abs(wy) > 2.0
+        if np.any(on):
+            q = ring(wx[on], wy[on], jac)
+            for vi, qi in zip([v0, v1] + g, q):
+                vi[on] = qi
+        return v0, v1, g, c
+
+    # reflecting the wedge across the y axis needs its first component to
+    # vanish there, and the half ring across the x axis its second
+    for ax, region in (("y", l1_annulus(2.0, 3.0, ("x>0", "y>0"))),
+                       ("x", l1_annulus(2.0, 3.0, ("y>0",)))):
+        along = 0 if ax == "x" else 1
+        lo, hi = region.bbox()
+        probe = np.zeros((512, 2))
+        probe[:, along] = np.linspace(lo[along], hi[along], 514)[1:-1]
+        probe[:, 1 - along] = 1e-9 * max(1.0, float(np.max(hi - lo)))  # inward
+        probe = probe[region.contains(probe)]
+        trace = np.abs(ring(probe[:, 0], probe[:, 1])[1 - along])
+        if float(np.max(trace)) > trace_tol:
+            raise IncompatibleTrace(
+                f"component {2 - along} does not vanish on the {ax} axis "
+                f"(max {np.max(trace):.3e})"
+            )
 
     # audit the glue along the four edges of the diamond |w|_1 = 2
     t = (np.arange(512) + 0.5) / 512
-    edge = np.stack([2.0 * t, 2.0 - 2.0 * t], axis=-1)
-    for signs in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
-        gap = vmap.fn(edge * signs) - ring.fn(edge * signs)
-        worst = float(np.max(np.hypot(gap[..., 0], gap[..., 1])))
+    for sx, sy in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
+        x, y = 2.0 * t * sx, (2.0 - 2.0 * t) * sy
+        (s0, s1, *_), (r0, r1) = shear(x, y), ring(x, y)
+        worst = float(np.max(np.hypot(s0 - r0, s1 - r1)))
         if worst > trace_tol:
             raise GluingMismatch(f"shear and ring disagree on |w|_1 = 2 by {worst:.3e}")
 
     def fn(z):
-        # the shear on Q_2, the reflected wedge over it on the ring outside
-        w = chart.fwd(z)
-        v, outside = vmap.fn(w), l1_norm(w) > 2.0
-        if np.any(outside):
-            v[outside] = ring.fn(w[outside])
-        return chart.inv(v)
+        v0, v1, _, _ = diamond(z)
+        # eta^-1(R^T v), R^T v by the matmul
+        a, b = np.moveaxis(np.stack([v0, v1], axis=-1) @ _ROT45, -1, 0)
+        return np.stack(_eta_inv_parts(a, b), axis=-1)
 
     def jac(z):
-        # Du(z) = D chart^-1(v) D diamond(w) D chart(z) with w = R eta(z) and v
-        # the diamond map at w, in 2x2 components; the dels free each stage's
-        # inputs once consumed, which keeps the block's temporaries few
-        r, ab, c = _xy(_eta_parts)(z)
-        if np.any(r == 0):
-            raise OriginEvaluation("no preferred derivative branch at the origin")
-        # w = chart.fwd(z) bit for bit: the corrector's FD Jacobian magnifies
-        # a last-bit change of w ten thousandfold
-        wx, wy = np.moveaxis(np.stack(ab, axis=-1) @ _ROT45.T, -1, 0).copy()
-        del r, ab
-        # D chart = R D eta and D chart^-1 = K R^T with R = h ((1, -1), (1, 1));
-        # h h = 1/2 exactly, and scaling by 1/2 is exact at any stage
-        c = (0.5 * (c[0] - c[2]), 0.5 * (c[1] - c[3]), 0.5 * (c[0] + c[2]), 0.5 * (c[1] + c[3]))
-        # the diamond map: the shear everywhere, then the reflected (and
-        # possibly corrected) wedge over it on the ring outside Q_2
-        v0, v1, *g = shear_vj(wx, wy)
-        g = [np.array(np.broadcast_to(gi, wx.shape)) for gi in g]
-        ring = np.abs(wx) + np.abs(wy) > 2.0
-        if np.any(ring):
-            x, y = wx[ring], wy[ring]
-            fx, fy = np.where(x < 0, -1.0, 1.0), np.where(y < 0, -1.0, 1.0)
-            q = _wedge_pass(wedge_second, corrector, np.abs(x), np.abs(y))
-            # D(S u S) = S Du S with S = diag(fx, fy)
-            v0[ring], v1[ring] = fx * q[0], fy * q[1]
-            g[0][ring], g[1][ring] = q[2], fx * fy * q[3]
-            g[2][ring], g[3][ring] = fx * fy * q[4], q[5]
-            del x, y, fx, fy, q
+        # Du(z) = D chart^-1(v) D diamond(w) D chart(z) in 2x2 components, with
+        # D chart^-1(v) = K(R^T v) R^T and K = D(eta^-1)
+        v0, v1, g, c = diamond(z, jac=True)
         g = _mul2(g, c)
         del c
         if np.any((v0 == 0) & (v1 == 0)):
             raise OriginEvaluation("no preferred derivative branch at the origin")
-        k = _eta_inv_jac(_SQRT2 / 2 * (v0 + v1), _SQRT2 / 2 * (v1 - v0))  # at R^T v
+        k = _eta_inv_parts(_SQRT2 / 2 * (v0 + v1), _SQRT2 / 2 * (v1 - v0), jac=True)
         return _matrices(_mul2((k[0] - k[1], k[0] + k[1], k[2] - k[3], k[2] + k[3]), g))
 
     def break_distance(z):
         z = np.asarray(z, dtype=float)
         r = np.hypot(z[..., 0], z[..., 1])
-        w = chart.fwd(z)
-        xw, yw = np.abs(w[..., 0]), np.abs(w[..., 1])
-        in_ring = l1_norm(w) > 2.0
+        wx, wy, _ = _chart(z)
+        xw, yw = np.abs(wx), np.abs(wy)
+        in_ring = xw + yw > 2.0
         return np.minimum.reduce(
             [
                 np.abs(r - 1.0),
@@ -588,13 +594,8 @@ def nonuniqueness_datum() -> tuple[RadialDatum, NonuniquenessReport]:
         support_radius=4.0,
     )
 
-    def mass_integrand(r):
-        return 2.0 * r * float(datum.f(np.array([r]))[0])
-
-    res2 = abs(quad(mass_integrand, 0.0, 2.0, points=[1.0], limit=200)[0])
-    res_tot = abs(
-        quad(mass_integrand, 0.0, 4.0, points=[1.0, 2.0, 3.0], limit=200)[0]
-    )
+    # the masses integral_0^r 2 s f(s) ds over B_2 and B_4, exact per piece
+    res2, res_tot = map(float, np.abs(datum.cumulative(np.array([2.0, 4.0]))))
 
     # one-sided limits straight from the piece expressions: C^1 matching at
     # the joints is exact, not a finite-difference estimate

@@ -28,8 +28,8 @@ class Region:
     """A planar domain: a disc or an annulus in either norm.
 
     ``constraints`` intersects the base region with the open half planes
-    x > 0 and y > 0, which covers the half and quadrant restrictions used by
-    the reflections.
+    x > 0 and y > 0, which covers the half and quadrant restrictions of the
+    wedge and of the half ring that the competitor folds it through.
     """
 
     kind: str  # "disc" | "annulus" | "l1_ball" | "l1_annulus"

@@ -5,10 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from pjac.constructions import (
-    DiamondChart,
-    _eta_inv,
-    _eta_inv_jac,
-    _eta_jac,
+    _eta_inv_parts,
     assemble_counterexample,
     ball_to_square,
     boundary_identity_residual,
@@ -20,9 +17,9 @@ from pjac.constructions import (
     wedge_map,
 )
 from pjac.energy import build_grid, jacobian_residual, lipschitz_estimate, region_energy
-from pjac.errors import OriginEvaluation, OutsideWedge
+from pjac.errors import GluingMismatch, IncompatibleTrace, OriginEvaluation, OutsideWedge
 from pjac.geometry import cofactor, det2
-from pjac.maps import continuity_report, fd_jacobian, reflect_extend, rotate_map
+from pjac.maps import continuity_report, fd_jacobian, rotate_map
 from pjac.radial import GeneralisedStretching, truncated_derivative_energy
 from pjac.regions import disc, l1_norm, quasi_random_points
 
@@ -48,13 +45,19 @@ def test_eta_constant_jacobian(rng):
     assert np.max(np.abs(fd - 2 / math.pi)) < 1e-5
 
 
+def _chart_inv(w):
+    """The diamond chart's inverse eta^-1(R^T w), R the rotation of ball_to_square."""
+    a, b = np.moveaxis(np.asarray(w) @ ball_to_square()[1], -1, 0)
+    return np.stack(_eta_inv_parts(a, b), axis=-1)
+
+
 def test_eta_l1_identity(rng):
-    chart = DiamondChart()
+    eta, rot = ball_to_square()
     pts = rng.normal(size=(5000, 2))
-    w = chart.fwd(pts)
+    w = eta(pts) @ rot.T
     l1 = np.abs(w[:, 0]) + np.abs(w[:, 1])
     assert np.max(np.abs(l1 - np.hypot(pts[:, 0], pts[:, 1]))) < 1e-10
-    assert np.max(np.abs(chart.inv(w) - pts)) < 1e-9
+    assert np.max(np.abs(_chart_inv(w) - pts)) < 1e-9
 
 
 def test_eta_continuity_across_diagonals():
@@ -89,19 +92,20 @@ def _eta_inverse_points(rng):
 
 def test_eta_inverse_jacobian_closed_form(rng):
     pts = _eta_inverse_points(rng)
-    k = np.stack(_eta_inv_jac(pts[:, 0], pts[:, 1]), -1).reshape(-1, 2, 2)
+    k = np.stack(_eta_inv_parts(pts[:, 0], pts[:, 1], jac=True), -1).reshape(-1, 2, 2)
     assert {bool(s) for s in np.abs(pts[:, 1]) > np.abs(pts[:, 0])} == {False, True}
     # the inverse of D eta at eta^-1(p)
-    d = _eta_jac(_eta_inv(pts))
+    eta, rot = ball_to_square()
+    d = eta.jacobian(np.stack(_eta_inv_parts(pts[:, 0], pts[:, 1]), axis=-1))
     inv = np.swapaxes(cofactor(d), -1, -2) / det2(d)[:, None, None]
     rel = np.max(np.abs(k - inv), axis=(1, 2)) / np.max(np.abs(inv), axis=(1, 2))
     assert float(np.max(rel)) <= 1e-13
-    # the finite-difference Jacobian of chart.inv, D chart^-1(w) = K(R^T w) R^T,
-    # at points farther than 1e-4 from the diagonals where the branches meet
-    chart, rot = DiamondChart(), ball_to_square()[1]
+    # the finite-difference Jacobian of the chart's inverse, D chart^-1(w) =
+    # K(R^T w) R^T, at points farther than 1e-4 from the diagonals where the
+    # branches meet
     off = np.abs(np.abs(pts[:, 0]) - np.abs(pts[:, 1])) > 1e-4
     w = pts[off] @ rot.T
-    assert np.max(np.abs(k[off] @ rot.T - fd_jacobian(chart.inv, w))) <= 1e-6
+    assert np.max(np.abs(k[off] @ rot.T - fd_jacobian(_chart_inv, w))) <= 1e-6
 
 
 # -- the shear of the diamond ----------------------------------------------------
@@ -234,36 +238,62 @@ def test_assembly_conjugation_identity(rng):
     # J u(z) = J (diamond map)(R eta z): the chart factors cancel
     eps = 0.4
     u = assemble_counterexample(eps)
-    chart = DiamondChart()
+    eta, rot = ball_to_square()
     vmap = shear_map(eps)
     pts = quasi_random_points(
         disc(1.9), 600, seed=4, min_break_distance=1e-3,
         break_distance=u.break_distance,
     )
     left = det2(u.jacobian(pts))
-    right = det2(vmap.jac(chart.fwd(pts)))
+    right = det2(vmap.jac(eta(pts) @ rot.T))
     assert np.max(np.abs(left - right)) < 1e-10
     fd = det2(fd_jacobian(u.fn, pts[:200]))
     assert np.max(np.abs(fd - right[:200])) < 1e-5
 
 
-def _composed_jacobian(eps):
-    # the competitor's Jacobian as the composition of its parts: the inverse
-    # chart's Jacobian by cofactor/det at the image, then (n, 2, 2) products
-    chart, vmap = DiamondChart(), shear_map(eps)
-    ring = reflect_extend(wedge_map(eps)[0], axes=("x", "y"))
+def _eta_inv_tan(pts):
+    # eta^-1 in its tan form: on |b| <= |a|, sgn(a) sqrt2 |a| (1, m) / sqrt(1 + m^2)
+    # with m = tan(pi b / (4 a)); the other branch is conjugated by the swap
+    a, b = pts[..., 0], pts[..., 1]
+    swap = ~(np.abs(b) <= np.abs(a))
+    u, v = np.where(swap, b, a), np.where(swap, a, b)
+    nz = (np.abs(a) > 0) | (np.abs(b) > 0)
+    m = np.tan(np.pi * np.where(nz, v, 0.0) / (4.0 * np.where(nz, u, 1.0)))
+    x = np.sign(u) * (math.sqrt(2.0) * np.abs(u)) / np.sqrt(1.0 + m * m)
+    out = np.stack([x, m * x], axis=-1)
+    out[swap] = out[swap][..., ::-1]
+    return out
 
-    def jac(z):
-        w = chart.fwd(z)
+
+def _composition(eps):
+    """The competitor's value and Jacobian composed from its parts: the chart
+    w = R eta(z), the shear on Q_2 and the wedge folded into each quadrant of
+    the ring, then eta^-1(R^T v); the inverse chart's Jacobian by cofactor/det
+    at the image, and (n, 2, 2) products."""
+    eta, rot = ball_to_square()
+    vmap, wedge = shear_map(eps), wedge_map(eps)[0]
+
+    def diamond(w):
         inner = l1_norm(w) <= 2.0
         v, dw = np.empty(w.shape), np.empty(w.shape + (2,))
         v[inner], dw[inner] = vmap.fn(w[inner]), vmap.jac(w[inner])
-        v[~inner], dw[~inner] = ring.fn(w[~inner]), ring.jac(w[~inner])
-        out = chart.jac(chart.inv(v))
-        out = np.swapaxes(cofactor(out), -1, -2) / det2(out)[..., None, None]
-        return out @ dw @ chart.jac(z)
+        # S wedge(S w) and S D wedge(S w) S with S = diag(sign w)
+        s = np.where(w[~inner] < 0, -1.0, 1.0)
+        v[~inner] = s * wedge.fn(np.abs(w[~inner]))
+        dw[~inner] = s[:, :, None] * wedge.jac(np.abs(w[~inner])) * s[:, None, :]
+        return v, dw
 
-    return jac
+    def fn(z):
+        w = eta(z) @ rot.T
+        return _eta_inv_tan(diamond(w)[0] @ rot)
+
+    def jac(z):
+        v, dw = diamond(eta(z) @ rot.T)
+        out = rot @ eta.jacobian(_eta_inv_tan(v @ rot))
+        out = np.swapaxes(cofactor(out), -1, -2) / det2(out)[..., None, None]
+        return out @ dw @ (rot @ eta.jacobian(z))
+
+    return fn, jac
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-5, 0.3, 1.0])
@@ -271,7 +301,9 @@ def test_assembly_jacobian_matches_composition(eps):
     u = assemble_counterexample(eps)
     nodes = build_grid(disc(3.0), 320, u.break_radii, u.break_angles).nodes
     assert len(nodes) >= 100_000
-    assert np.max(np.abs(u.jacobian(nodes) - _composed_jacobian(eps)(nodes))) <= 1e-12
+    fn, jac = _composition(eps)
+    assert np.array_equal(u.fn(nodes), fn(nodes))  # the value, bit for bit
+    assert np.max(np.abs(u.jacobian(nodes) - jac(nodes))) <= 1e-12
     pts = quasi_random_points(
         disc(3.0), 2000, seed=8, min_break_distance=1e-3,
         break_distance=u.break_distance,
@@ -313,6 +345,58 @@ def test_assembly_with_corrector_matches_datum_everywhere():
     )
     assert mx < 5e-2
     assert boundary_identity_residual(u) < 1e-8
+
+
+class _StubCorrector:
+    """A corrector without a flow: a closed-form sigma, its FD Jacobian, and
+    a count of the points sigma moves."""
+
+    boundary_displacement = 0.0
+
+    def __init__(self, sigma):
+        self._sigma = sigma
+        self.points = 0
+
+    def sigma(self, p):
+        self.points += len(p)
+        return self._sigma(np.asarray(p, dtype=float))
+
+    def jacobian(self, p):
+        return fd_jacobian(self.sigma, p, scale=1e-4)
+
+
+# the y axis is probed 3e-9 inside the quadrant, so a shift of x by 1e-6
+# reads 1.003e-06 there
+@pytest.mark.parametrize("shift, message", [
+    ((0.0, 1e-6), r"component 2 does not vanish on the x axis \(max 1\.000e-06\)"),
+    ((1e-6, 0.0), r"component 1 does not vanish on the y axis \(max 1\.003e-06\)"),
+], ids=["x-axis", "y-axis"])
+def test_assembly_rejects_ring_trace_off_the_axes(shift, message):
+    stub = _StubCorrector(lambda p: p + np.array(shift))
+    with pytest.raises(IncompatibleTrace, match=message):
+        assemble_counterexample(0.5, corrector=stub)
+
+
+def test_assembly_rejects_ring_that_moves_the_inner_edge():
+    # sigma fixes both axes, so only the glue on |w|_1 = 2 can catch it
+    stub = _StubCorrector(lambda p: p + 1e-6 * p[:, :1] * p[:, 1:])
+    with pytest.raises(GluingMismatch, match=r"on \|w\|_1 = 2 by 1\.173e-06"):
+        assemble_counterexample(0.5, corrector=stub)
+
+
+def test_corrected_ring_flows_once_for_the_value_five_times_for_the_jacobian():
+    stub = _StubCorrector(lambda p: p)
+    u = assemble_counterexample(0.5, corrector=stub)
+    nodes = build_grid(disc(3.0), 32, u.break_radii, u.break_angles).nodes
+    eta, rot = ball_to_square()
+    ring = int(np.count_nonzero(l1_norm(eta(nodes) @ rot.T) > 2.0))
+    assert ring > 0
+    for evaluate, flows in ((u.fn, 1), (u.jacobian, 5)):
+        stub.points = 0
+        evaluate(nodes)
+        assert stub.points == flows * ring
+    # the identity flow leaves the competitor as it is
+    assert np.array_equal(u.fn(nodes), assemble_counterexample(0.5).fn(nodes))
 
 
 def test_assembly_lipschitz_stable_in_eps():

@@ -1,11 +1,8 @@
 import numpy as np
 import pytest
 
-from pjac.errors import IncompatibleTrace
-from pjac.maps import PlanarMap, fd_jacobian, reflect_extend, rotate_map
+from pjac.maps import PlanarMap, fd_jacobian, rotate_map
 from pjac.regions import Region, disc, l1_annulus, quasi_random_points
-
-QUADRANT = Region(kind="disc", r_out=2.0, constraints=("x>0", "y>0"))
 
 
 def _no_breaks(p):
@@ -44,42 +41,6 @@ def test_fd_jacobian_matches_closed_form(rng):
     assert np.allclose(fd_jacobian(fn, pts), mat, atol=1e-9)
 
 
-def test_reflect_identity_quadrant_gives_identity():
-    quarter = _fd_map(lambda p: np.asarray(p, dtype=float), QUADRANT)
-    full = reflect_extend(quarter, axes=("x", "y"))
-    pts = np.array([[0.5, 0.5], [-0.5, 0.5], [0.5, -0.5], [-0.5, -0.5]])
-    assert np.allclose(full(pts), pts)
-    assert full.domain.constraints == ()
-
-
-def test_reflect_preserves_jacobian(rng):
-    def fn(p):
-        x, y = p[..., 0], p[..., 1]
-        return np.stack([x + 0.2 * x * y**2, y + 0.1 * y * x**2], axis=-1)
-
-    full = reflect_extend(_fd_map(fn, QUADRANT), axes=("x", "y"))
-    pts = rng.uniform(0.2, 1.2, size=(50, 2))
-    from pjac.geometry import det2
-
-    for sx in (1, -1):
-        for sy in (1, -1):
-            mirrored = pts * np.array([sx, sy])
-            assert np.allclose(
-                det2(fd_jacobian(full.fn, mirrored)),
-                det2(fd_jacobian(fn, pts)),
-                atol=1e-6,
-            )
-            assert np.allclose(det2(full.jacobian(mirrored)), det2(fd_jacobian(fn, pts)),
-                               atol=1e-6)
-
-
-def test_reflect_rejects_incompatible_trace():
-    bad = _fd_map(lambda p: np.asarray(p, dtype=float) + np.array([0.0, 0.5]),
-                  Region(kind="disc", r_out=2.0, constraints=("y>0",)))
-    with pytest.raises(IncompatibleTrace):
-        reflect_extend(bad, axes=("x",))
-
-
 def test_rotate_map_needs_symmetric_domain():
     half = _fd_map(lambda p: p, Region(kind="disc", r_out=1.0, constraints=("x>0",)))
     with pytest.raises(ValueError, match="rotate_map needs a rotation-invariant"):
@@ -107,17 +68,3 @@ def test_rotate_map_jacobian_field_rotates():
     rot = np.array([[c, -s], [s, c]])
     pts = np.array([[0.4, 0.1]])
     assert np.allclose(rotated.jacobian(pts)[0], mat @ rot)
-
-
-def test_reflect_across_x_axis_opens_the_lower_half():
-    # reflecting across the x axis mirrors y > 0 onto y < 0, so the quadrant
-    # x, y > 0 becomes the half plane x > 0
-    half = reflect_extend(_fd_map(lambda p: np.asarray(p, dtype=float), QUADRANT),
-                          axes=("x",))
-    assert half.domain.constraints == ("x>0",)
-    assert half.domain.contains(np.array([0.5, -0.5]))
-    # and across the y axis, x > 0 onto x < 0
-    upper = reflect_extend(_fd_map(lambda p: np.asarray(p, dtype=float), QUADRANT),
-                           axes=("y",))
-    assert upper.domain.constraints == ("y>0",)
-    assert upper.domain.contains(np.array([-0.5, 0.5]))

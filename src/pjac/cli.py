@@ -20,7 +20,6 @@ import tempfile
 import numpy as np
 
 from . import constructions, energy, isoperimetry, moser, radial
-from .errors import PjacError
 from .geometry import det2
 from .maps import continuity_report, fd_jacobian, rotate_map
 from .radial import GeneralisedStretching, profile_from_datum
@@ -135,7 +134,7 @@ def run_check_map(args) -> str:
     if args.map == "eta":
         eta, rot = constructions.ball_to_square()
         pts = 0.2 + 0.6 * np.random.default_rng(args.seed).random((20000, 2))
-        keep = eta.breaks_clear(pts, 1e-4)
+        keep = eta.break_distance(pts) > 1e-4
         res = np.abs(det2(fd_jacobian(eta.fn, pts[keep])) - 2.0 / math.pi)
         w = eta(pts) @ rot.T
         l1 = np.abs(np.abs(w[:, 0]) + np.abs(w[:, 1]) - np.hypot(pts[:, 0], pts[:, 1]))
@@ -330,10 +329,7 @@ def main(argv=None) -> int:
     try:
         text = args.fn(args)
         _write_atomic(args.out, text)
-    except (PjacError, FloatingPointError, ValueError) as exc:
-        print(f"pjac: numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except Exception as exc:  # any other failure is still one line, exit 3
+    except Exception as exc:  # any failure is one line naming its type, exit 3
         print(f"pjac: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     return 0

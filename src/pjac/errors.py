@@ -56,7 +56,7 @@ class OutsideWedge(PjacError):
 
 
 class IncompatibleTrace(PjacError):
-    """Reflection extension would be discontinuous across the axis."""
+    """The competitor's ring does not vanish on an axis it is reflected across."""
 
 
 class GluingMismatch(PjacError):

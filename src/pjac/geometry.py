@@ -23,20 +23,6 @@ def frobenius(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(a * a, axis=(-2, -1)))
 
 
-def cofactor(a: np.ndarray) -> np.ndarray:
-    """Cofactor matrix: cof([[a, b], [c, d]]) = [[d, -c], [-b, a]].
-
-    Satisfies det A = <A v, cof(A) v> and |cof(A) v| = |A v_perp| for every
-    unit vector v.
-    """
-    out = np.empty_like(a)
-    out[..., 0, 0] = a[..., 1, 1]
-    out[..., 0, 1] = -a[..., 1, 0]
-    out[..., 1, 0] = -a[..., 0, 1]
-    out[..., 1, 1] = a[..., 0, 0]
-    return out
-
-
 def polar_jacobian(pts: np.ndarray, r: np.ndarray, ur: np.ndarray,
                    ut: np.ndarray) -> np.ndarray:
     """Du from the polar partials ur = d_r u and ut = (1/r) d_theta u.

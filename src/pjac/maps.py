@@ -66,9 +66,6 @@ class PlanarMap:
     def jacobian(self, pts) -> np.ndarray:
         return np.asarray(self.jac(np.asarray(pts, dtype=float)))
 
-    def breaks_clear(self, pts, margin: float) -> np.ndarray:
-        return np.asarray(self.break_distance(np.asarray(pts, dtype=float))) > margin
-
 
 def continuity_report(pmap: PlanarMap, n: int = 1000) -> dict:
     """Max trace mismatch of each declared interface, sampled at n points."""

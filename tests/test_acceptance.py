@@ -21,7 +21,7 @@ from pjac.constructions import (
     shear_map,
     wedge_map,
 )
-from pjac.energy import region_energy, zhukovsky_comparison
+from pjac.energy import lipschitz_estimate, region_energy, zhukovsky_comparison
 from pjac.geometry import det2
 from pjac.isoperimetry import ImageCurve, curve_length, degree_moments, image_curve, isoperimetric_check
 from pjac.maps import fd_jacobian, rotate_map
@@ -113,16 +113,22 @@ def test_criterion_2_energy_gap_blowup_vs_bounded(energy_gap_table):
     variation = float(np.max(e_comp) / np.min(e_comp))
     t_rad_total = sum(r[3] for r in rows)
     t_comp_max = max(r[4] for r in rows)
+    # "uniformly Lipschitz": the sampled sup of |Du| on B_3 stays within 2x
+    lips = [lipschitz_estimate(assemble_counterexample(eps), disc(3.0), n=4000, seed=6)
+            for eps in EPS_RANGE]
     ok = (
         0.8 * math.pi <= slope <= 1.2 * math.pi
         and variation < 2.0
+        and max(lips) < 2.0 * min(lips)
         and t_rad_total < 1.0
         and t_comp_max < 60.0
     )
     report(
-        "criterion 2 (energy gap: slope in [0.8pi,1.2pi], competitor <2x, timings)",
+        "criterion 2 (energy gap: slope in [0.8pi,1.2pi], competitor and Lipschitz <2x, "
+        "timings)",
         ok,
         f"slope={slope:.4f} (pi={math.pi:.4f}), variation={variation:.3f}, "
+        f"Lipschitz {min(lips):.3f}-{max(lips):.3f}, "
         f"1-D total {t_rad_total:.2f}s, 2-D max {t_comp_max:.1f}s/eps @1024^2",
     )
 

@@ -155,6 +155,14 @@ def test_numerical_failure_exit_three(tmp_path):
     assert not out.exists()  # no partial output left behind
 
 
+def test_numerical_failure_line_names_its_type(capsys):
+    assert main(["zhukovsky", "--datum", "annulus"]) == 3
+    assert capsys.readouterr().err == (
+        "pjac: numerical failure: JacobianMismatch: "
+        "datum has no finite lambda*; comparison undefined\n"
+    )
+
+
 def test_no_partial_file_on_failure(tmp_path):
     target = tmp_path / "sub" / "x.csv"
     target.parent.mkdir()

@@ -1,8 +1,8 @@
 """Every module-level name and method of the package is used by the package
-itself (its ``__init__`` exports included) or by the acceptance suite, and
-every module-level import is read by its own module.  A name that only unit
-tests reach is not part of the program.  Every field declared in a class body
-is read as an attribute somewhere in the package or its tests."""
+itself or by the acceptance suite, and every module-level import is read by
+its own module.  A name that only unit tests reach is not part of the
+program.  Every field declared in a class body is read as an attribute
+somewhere in the package or its tests."""
 
 import ast
 from pathlib import Path
@@ -95,7 +95,7 @@ def _names_read(tree: ast.Module) -> set[str]:
 def test_no_import_is_unused():
     package, _ = _package_trees_and_used_names()
     unused = sorted(
-        f"{path.name}:{name}" for path, tree in package.items() if path.name != "__init__.py"
+        f"{path.name}:{name}" for path, tree in package.items()
         for name in _imported(tree) - _names_read(tree)
     )
     assert not unused, f"imported but never read: {unused}"

@@ -16,7 +16,7 @@ from pjac.constructions import (
     shear_map,
     wedge_map,
 )
-from pjac.energy import build_grid, jacobian_residual, region_energy
+from pjac.energy import build_grid, jacobian_residual, lipschitz_estimate, region_energy
 from pjac.errors import GluingMismatch, IncompatibleTrace, OriginEvaluation, OutsideWedge
 from pjac.geometry import det2
 from pjac.maps import continuity_report, fd_jacobian, rotate_map
@@ -408,6 +408,14 @@ def test_corrected_ring_flows_once_for_the_value_five_times_for_the_jacobian():
         assert stub.points == flows * ring
     # the identity flow leaves the competitor as it is
     assert np.array_equal(u.fn(nodes), assemble_counterexample(0.5).fn(nodes))
+
+
+def test_assembly_lipschitz_stable_in_eps():
+    values = [
+        lipschitz_estimate(assemble_counterexample(e), disc(3.0), n=4000, seed=6)
+        for e in (1.0, 0.1, 0.01)
+    ]
+    assert max(values) < 2 * min(values)
 
 
 def polar_lift(fn, r, n):

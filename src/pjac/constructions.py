@@ -429,6 +429,15 @@ def assemble_counterexample(eps: float, corrector=None) -> PlanarMap:
     corrector the outer-ring Jacobian is the wedge's (in [1/2, 2.5]), not the
     constant (6 - eps)/5.
 
+    Symmetry: the shear and the sign-folded ring commute with the
+    reflections of w across both axes, and eta commutes with every symmetry
+    of the square, so u(Tz) = T u(z) for the reflections T across y = x and
+    y = -x and for their product -I, corrected or not.  Then Du(Tz) =
+    T Du(z) T^-1 and the energy density |Du|^2 repeats on the four images of
+    the sector [pi/4, 3pi/4] between the diagonals, which the map declares as
+    its ``sector``: ``region_energy`` integrates that quarter and counts it 4
+    times.
+
     ``fn``, ``jac`` and ``break_distance`` run one masked pass per block of
     points: the chart, the shear everywhere, and the sign-folded wedge over it
     on the ring outside Q_2.  ``jac`` takes eta and D eta from one arctan and
@@ -532,14 +541,16 @@ def assemble_counterexample(eps: float, corrector=None) -> PlanarMap:
             ]
         )
 
+    angles = tuple(i * np.pi / 4 for i in range(1, 8))
     return PlanarMap(
         fn=fn,
         domain=disc(3.0),
         jac=jac,
         break_distance=break_distance,
         break_radii=(1.0, 2.0),
-        break_angles=tuple(i * np.pi / 4 for i in range(1, 8)),
+        break_angles=angles,
         name=f"counterexample_eps{eps:g}" + ("_corrected" if corrector else ""),
+        sector=(angles[0], angles[2]),
     )
 
 

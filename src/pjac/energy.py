@@ -1,7 +1,8 @@
 """Quadrature of 2p-Dirichlet energies, Jacobian residuals, circle energies.
 
 Region energies use break-aligned composite Gauss-Legendre grids in polar
-coordinates over Euclidean discs and annuli.
+coordinates over Euclidean discs and annuli, restricted to the map's
+declared sector when its energy density repeats around the circle.
 Circle energies use the periodic trapezoid rule, which is spectrally accurate
 for smooth integrands.
 """
@@ -61,17 +62,32 @@ def build_grid(
     n: int = 256,
     break_radii=(),
     break_angles=(),
+    sector=(0.0, TWO_PI),
 ) -> QuadratureGrid:
     """A polar tensor quadrature grid with roughly n x n nodes over a disc or
-    an annulus without constraints."""
+    an annulus without constraints.
+
+    A ``sector`` (lo, hi) that tiles the circle in k = 2 pi / (hi - lo)
+    copies keeps the nodes of the full-circle angular rule, with lo and hi
+    among its breaks, that fall inside the sector, with k times their
+    weights: the grid integrates a density that repeats on the k copies.  Its
+    nodes are then a subset of the full grid's, bit for bit, and for k a
+    power of two its weights are exactly k times theirs.
+    """
     if region.kind not in ("disc", "annulus") or region.constraints:
         raise ValueError(f"cannot grid region {region}")
+    lo, hi = sector
+    copies = round(TWO_PI / (hi - lo)) if 0.0 <= lo < hi <= TWO_PI else 0
+    if copies < 1 or abs(copies * (hi - lo) - TWO_PI) > 1e-12:
+        raise ValueError(f"sector {sector} does not tile the circle")
     r_edges = [region.r_in, region.r_out] + [
         float(b) for b in break_radii if region.r_in < b < region.r_out
     ]
-    t_edges = [0.0, TWO_PI] + [float(a) for a in break_angles if 0.0 < a < TWO_PI]
+    t_edges = [0.0, TWO_PI, lo, hi] + [float(a) for a in break_angles if 0.0 < a < TWO_PI]
     rs, wr = composite_gl(r_edges, n)
     ts, wt = composite_gl(t_edges, n)
+    inside = (lo < ts) & (ts < hi)
+    ts, wt = ts[inside], copies * wt[inside]
     nodes = np.stack([np.multiply.outer(rs, np.cos(ts)),
                       np.multiply.outer(rs, np.sin(ts))], axis=-1).reshape(-1, 2)
     weights = ((wr * rs)[:, None] * wt[None, :]).reshape(-1)
@@ -102,13 +118,16 @@ def region_energy(u: PlanarMap, p: float, region: Region, n: int = 256) -> Energ
     """Quadrature of the 2p-energy over the region, on a break-aligned grid.
 
     Two grid levels are used; the report carries the finest value and the
-    difference between levels as the refinement estimate.  Each level is
-    summed over consecutive blocks of 2^15 nodes, one Jacobian call per
-    block, so the temporaries stay a few MB at any grid size; a non-finite
-    derivative in any block raises EvaluationFailure.
+    difference between levels as the refinement estimate.  Both levels cover
+    only ``u.sector`` and count it 2 pi / (its width) times, so a map that
+    declares a quarter sector (the counterexample) costs a quarter of the
+    Jacobian evaluations.  Each level is summed over consecutive blocks of
+    2^15 nodes, one Jacobian call per block, so the temporaries stay a few MB
+    at any grid size; a non-finite derivative in any block raises
+    EvaluationFailure.
     """
-    fine = build_grid(region, n, u.break_radii, u.break_angles)
-    coarse = build_grid(region, max(n // 2, 8), u.break_radii, u.break_angles)
+    fine = build_grid(region, n, u.break_radii, u.break_angles, u.sector)
+    coarse = build_grid(region, max(n // 2, 8), u.break_radii, u.break_angles, u.sector)
     v_fine = _energy_on_grid(u, p, fine)
     v_coarse = _energy_on_grid(u, p, coarse)
     return EnergyReport(value=v_fine, refinement_estimate=abs(v_fine - v_coarse))

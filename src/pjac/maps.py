@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import TWO_PI
 from .regions import Region
 
 FD_SCALE = 1e-6  # central-difference step is FD_SCALE * max(1, |x|)
@@ -49,6 +50,14 @@ class PlanarMap:
     each point, a conservative lower bound for the distance to any curve
     across which derivatives may jump; ``break_radii``/``break_angles`` list
     the polar-aligned subset of those curves for quadrature alignment.
+
+    ``sector`` = (lo, hi), with 0 <= lo < hi <= 2 pi, is one fundamental
+    sector of the symmetry group of the energy density |Du|^2: a group of k =
+    2 pi / (hi - lo) orthogonal maps T, each with |Du(Tz)| = |Du(z)|, whose
+    images of the sector tile the circle.  Region energies over discs and
+    annuli centred at the origin integrate the sector alone and count it k
+    times (``energy.build_grid``).  The default, the whole circle, declares
+    no symmetry.
     """
 
     fn: callable
@@ -59,6 +68,7 @@ class PlanarMap:
     break_angles: tuple = ()
     interfaces: tuple = ()
     name: str = "map"
+    sector: tuple = (0.0, TWO_PI)
 
     def __call__(self, pts) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(pts, dtype=float)))
@@ -83,7 +93,9 @@ def rotate_map(u: PlanarMap, alpha: float) -> PlanarMap:
 
     The domain must be rotation invariant (disc or annulus without
     constraints); energies over it are unchanged and the Jacobian field
-    rotates with alpha.
+    rotates with alpha.  The result declares neither break angles nor a
+    sector: the rotation moves u's mirror axes, so u's sector is no longer a
+    fundamental sector of the rotated density's symmetries.
     """
     if u.domain.kind not in ("disc", "annulus") or u.domain.constraints:
         raise ValueError("rotate_map needs a rotation-invariant domain")

@@ -86,7 +86,9 @@ class QuadDomain:
     The sides P0P3 and P1P2 must be parallel: then the equation for q in the
     chart's inverse loses its q^2 term and ``from_xy`` is one division.
     ``star_center``/``star_radius`` give an interior ball with respect to
-    which the domain is star-shaped (automatic for convex quads).
+    which the domain is star-shaped (automatic for convex quads).  The chart,
+    its inverse and its Jacobian determinant compute on x and y arrays, one
+    scalar corner coefficient at a time.
     """
 
     corners: tuple
@@ -129,30 +131,31 @@ class QuadDomain:
 
     def to_xy(self, s, q) -> np.ndarray:
         a, b, c, d = self._abcd
-        s = np.asarray(s, dtype=float)[..., None]
-        q = np.asarray(q, dtype=float)[..., None]
-        return a + b * s + c * q + d * s * q
+        s = np.asarray(s, dtype=float)
+        q = np.asarray(q, dtype=float)
+        return np.stack([a[k] + b[k] * s + c[k] * q + d[k] * s * q for k in (0, 1)],
+                        axis=-1)
 
     def chart_jdet(self, s, q) -> np.ndarray:
+        """det DY(s, q) = cross(Y_s, Y_q), Y_s = b + d q and Y_q = c + d s."""
         a, b, c, d = self._abcd
         s = np.asarray(s, dtype=float)
         q = np.asarray(q, dtype=float)
-        ys = b[None, :] + d[None, :] * q[..., None]
-        yq = c[None, :] + d[None, :] * s[..., None]
-        return _cross(ys, yq)
+        return (b[0] + d[0] * q) * (c[1] + d[1] * s) - (b[1] + d[1] * q) * (c[0] + d[0] * s)
 
     def from_xy(self, pts) -> tuple[np.ndarray, np.ndarray]:
         a, b, c, d = self._abcd
-        e = np.asarray(pts, dtype=float) - a
-        # the q^2 coefficient -cross(c, d) vanishes for parallel P0P3, P1P2
-        B = _cross(e, np.broadcast_to(d, e.shape)) - _cross(c, b)
-        C = _cross(e, np.broadcast_to(b, e.shape))
+        pts = np.asarray(pts, dtype=float)
+        ex, ey = pts[..., 0] - a[0], pts[..., 1] - a[1]
+        # q solves cross(e - c q, b + d q) = 0: its q^2 coefficient
+        # -cross(c, d) vanishes for parallel P0P3, P1P2
+        B = (ex * d[1] - ey * d[0]) - _cross(c, b)
+        C = ex * b[1] - ey * b[0]
         with np.errstate(divide="ignore", invalid="ignore"):
             qv = -C / B
-        denom_vec = b + d * qv[..., None]
-        num = e - c * qv[..., None]
-        denom = np.sum(denom_vec * denom_vec, axis=-1)
-        sv = np.sum(num * denom_vec, axis=-1) / denom
+        # s projects e - c q onto Y_s = b + d q
+        gx, gy = b[0] + d[0] * qv, b[1] + d[1] * qv
+        sv = ((ex - c[0] * qv) * gx + (ey - c[1] * qv) * gy) / (gx * gx + gy * gy)
         return sv, qv
 
     def outside_by(self, pts) -> np.ndarray:

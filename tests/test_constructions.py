@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import pjac.energy as energy
 from pjac.constructions import (
     _eta_inv_parts,
     assemble_counterexample,
@@ -18,7 +19,7 @@ from pjac.constructions import (
 )
 from pjac.energy import build_grid, jacobian_residual, lipschitz_estimate, region_energy
 from pjac.errors import GluingMismatch, IncompatibleTrace, OriginEvaluation, OutsideWedge
-from pjac.geometry import det2
+from pjac.geometry import det2, frobenius
 from pjac.maps import continuity_report, fd_jacobian, rotate_map
 from pjac.radial import GeneralisedStretching, truncated_derivative_energy
 from pjac.regions import disc, l1_norm, quasi_random_points
@@ -337,9 +338,9 @@ def test_assembly_wedge_jacobian_range():
     assert float(np.max(jac)) < 2.5
 
 
-def test_assembly_with_corrector_matches_datum_everywhere():
-    # with the wedge corrected, the Jacobian tracks the layered datum on the
-    # whole disc (within the corrector residual), not just inside radius 2
+@pytest.fixture(scope="module")
+def corrected_half():
+    """eps 0.5, its corrector and the corrector's trace."""
     from pjac.moser import constant_jacobian_corrector, wedge_domain
 
     eps = 0.5
@@ -348,6 +349,13 @@ def test_assembly_with_corrector_matches_datum_everywhere():
         jdet, (6 - eps) / 5, wedge_domain(),
         iterations=3, n_panels=28, cache=64, n_check=200,
     )
+    return eps, corr, trace
+
+
+def test_assembly_with_corrector_matches_datum_everywhere(corrected_half):
+    # with the wedge corrected, the Jacobian tracks the layered datum on the
+    # whole disc (within the corrector residual), not just inside radius 2
+    eps, corr, trace = corrected_half
     assert trace[-1].max_residual < 0.1
     u = assemble_counterexample(eps, corrector=corr)
     datum = layered_datum(eps)
@@ -356,6 +364,52 @@ def test_assembly_with_corrector_matches_datum_everywhere():
     )
     assert mx < 5e-2
     assert boundary_identity_residual(u) < 1e-8
+
+
+MIRRORS = {
+    "swap": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "anti-swap": np.array([[0.0, -1.0], [-1.0, 0.0]]),
+    "-I": -np.eye(2),
+}
+
+
+def mirror_gap(u, n=4000, seed=8):
+    """Largest relative gap between |Du(Tz)| and |Du(z)| over n random z in
+    B_3 and the three mirror images T of the competitor's symmetry group."""
+    rng = np.random.default_rng(seed)
+    r, t = 3.0 * np.sqrt(rng.random(n)), 2 * np.pi * rng.random(n)
+    z = np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
+    norm = frobenius(u.jacobian(z))
+    return max(float(np.max(np.abs(frobenius(u.jacobian(z @ T.T)) - norm) / norm))
+               for T in MIRRORS.values())
+
+
+def full_disc_gap(u, n):
+    """Relative gap between the sector ``region_energy`` and the full-disc sum."""
+    full = build_grid(disc(3.0), n, u.break_radii, u.break_angles)
+    whole = energy._energy_on_grid(u, 1, full)
+    return abs(region_energy(u, 1, disc(3.0), n=n).value - whole) / whole
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.1, 1e-3, 1e-9])
+def test_competitor_density_has_the_declared_symmetry(eps):
+    # u(Tz) = T u(z) for both diagonal mirrors, so |Du| repeats on the four
+    # images of the declared sector and the quarter counted 4 times is the disc
+    u = assemble_counterexample(eps)
+    assert u.sector == (np.pi / 4, 3 * np.pi / 4)
+    assert mirror_gap(u) <= 1e-13
+    for n in (64, 256):
+        assert full_disc_gap(u, n) <= 1e-13
+
+
+def test_corrected_competitor_density_has_the_declared_symmetry(corrected_half):
+    # the corrector acts inside the folded wedge, so it keeps the symmetry;
+    # its FD Jacobian (step 1e-4) magnifies the chart's rounding at Tz to
+    # about 2e-12
+    eps, corr, _ = corrected_half
+    u = assemble_counterexample(eps, corrector=corr)
+    assert mirror_gap(u) <= 1e-10
+    assert full_disc_gap(u, 64) <= 1e-13
 
 
 class _StubCorrector:

@@ -47,6 +47,28 @@ def test_quad_domain_chart_roundtrip(rng):
         assert dom.contains(xy).all()
 
 
+def test_chart_components_match_the_vector_formulas(rng):
+    # the chart computes on x and y arrays; the (..., 2)-vector formulas are
+    # the reference, bit for bit, inside and outside the chart square
+    def cross(u, v):
+        return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+    for dom in (unit_square_domain(), wedge_domain()):
+        a, b, c, d = dom._abcd
+        s, q = (rng.uniform(-0.2, 1.2, (3, 100, 1)) for _ in range(2))
+        assert np.array_equal(dom.to_xy(s[..., 0], q[..., 0]), a + b * s + c * q + d * s * q)
+        assert np.array_equal(dom.chart_jdet(s[..., 0], q[..., 0]),
+                              cross(b + d * q, c + d * s))
+        pts = rng.uniform(-1.0, 4.0, (3, 100, 2))
+        e = pts - a
+        qv = -cross(e, np.broadcast_to(b, e.shape)) / (
+            cross(e, np.broadcast_to(d, e.shape)) - cross(c, b))
+        g = b + d * qv[..., None]
+        sv = np.sum((e - c * qv[..., None]) * g, axis=-1) / np.sum(g * g, axis=-1)
+        s_xy, q_xy = dom.from_xy(pts)
+        assert np.array_equal(s_xy, sv) and np.array_equal(q_xy, qv)
+
+
 def test_quad_domain_area():
     assert np.isclose(unit_square_domain().area(), 1.0)
     assert np.isclose(wedge_domain().area(), 2.5)

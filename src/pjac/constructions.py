@@ -23,7 +23,7 @@ from .errors import (
     OriginEvaluation,
     OutsideWedge,
 )
-from .maps import Interface, PlanarMap
+from .maps import ChartPieces, Interface, PlanarMap
 from .radial import (
     GeneralisedStretching,
     Piece,
@@ -147,6 +147,12 @@ def _eta_inv_parts(a, b, jac=False):
     k00, k11 = _fold(_SQRT2 * (cos + phi * sin), k * cos, swap)
     k01, k10 = _fold(-k * sin, _SQRT2 * (sin - phi * cos), swap)
     return k00, k01, k10, k11
+
+
+def _chart_inverse(w):
+    """z = eta^-1(R^T w) at (..., 2) points w, R^T w by the matmul."""
+    a, b = np.moveaxis(np.asarray(w, dtype=float) @ _ROT45, -1, 0)
+    return np.stack(_eta_inv_parts(a, b), axis=-1)
 
 
 def _diag_axis_distance(pts: np.ndarray) -> np.ndarray:
@@ -418,6 +424,23 @@ def layered_profile(eps: float) -> GeneralisedStretching:
     return GeneralisedStretching(profile_from_datum(layered_datum(eps), 1))
 
 
+# the w quadrant between the competitor's breaks, as (vertices, grading);
+# see assemble_counterexample and maps.ChartPieces
+_LAYER_GRADING = 3
+_W_QUADRANT = ChartPieces(
+    polygons=(
+        (((0, 0), (0, 1), (1, 0)), (1, _LAYER_GRADING)),
+        (((0, 1), (1, 0), (1, 1), (0, 2)), (_LAYER_GRADING, _LAYER_GRADING)),
+        (((1, 0), (2, 0), (1, 1)), (1, 1)),
+        (((0, 2), (1, 1), (1, 2), (0, 3)), (1, 1)),
+        (((1, 1), (2, 0), (2, 1), (1, 2)), (1, 1)),
+        (((2, 0), (3, 0), (2, 1)), (1, 1)),
+    ),
+    to_domain=_chart_inverse,
+    weight=2.0 * np.pi,
+)
+
+
 def assemble_counterexample(eps: float, corrector=None) -> PlanarMap:
     """The identity-boundary competitor on B_3 with Jacobian close to the
     layered datum.
@@ -433,10 +456,18 @@ def assemble_counterexample(eps: float, corrector=None) -> PlanarMap:
     reflections of w across both axes, and eta commutes with every symmetry
     of the square, so u(Tz) = T u(z) for the reflections T across y = x and
     y = -x and for their product -I, corrected or not.  Then Du(Tz) =
-    T Du(z) T^-1 and the energy density |Du|^2 repeats on the four images of
-    the sector [pi/4, 3pi/4] between the diagonals, which the map declares as
-    its ``sector``: ``region_energy`` integrates that quarter and counts it 4
-    times.
+    T Du(z) T^-1 and the energy density |Du|^2 repeats on the four quadrants
+    of w; the quadrant x, y > 0 is the image of the z sector [-pi/4, pi/4].
+
+    Pieces: in the w quadrant every break is a straight line, so the map
+    declares the six polygons between them (``_W_QUADRANT``): the triangle
+    x + y < 1; the parallelogram and the triangle of 1 < x + y < 2 on either
+    side of x = 1; and the strips of 2 < x + y < 3 cut at x = 1 and x = 2.
+    ``region_energy`` integrates them with weight 2 pi: the chart's area
+    factor pi/2 (det D eta = 2/pi) times the 4 quadrants.  The shear squashes
+    Q_1 onto a lens of height eps, so the density has a layer of width about
+    eps along the y axis of Q_1 and a corner layer at (0, 1) in the ring
+    next to it; those two polygons grade their nodes toward the layer.
 
     ``fn``, ``jac`` and ``break_distance`` run one masked pass per block of
     points: the chart, the shear everywhere, and the sign-folded wedge over it
@@ -508,9 +539,7 @@ def assemble_counterexample(eps: float, corrector=None) -> PlanarMap:
 
     def fn(z):
         v0, v1, _, _ = diamond(z)
-        # eta^-1(R^T v), R^T v by the matmul
-        a, b = np.moveaxis(np.stack([v0, v1], axis=-1) @ _ROT45, -1, 0)
-        return np.stack(_eta_inv_parts(a, b), axis=-1)
+        return _chart_inverse(np.stack([v0, v1], axis=-1))
 
     def jac(z):
         # Du(z) = D chart^-1(v) D diamond(w) D chart(z) in 2x2 components, with
@@ -541,16 +570,15 @@ def assemble_counterexample(eps: float, corrector=None) -> PlanarMap:
             ]
         )
 
-    angles = tuple(i * np.pi / 4 for i in range(1, 8))
     return PlanarMap(
         fn=fn,
         domain=disc(3.0),
         jac=jac,
         break_distance=break_distance,
         break_radii=(1.0, 2.0),
-        break_angles=angles,
+        break_angles=tuple(i * np.pi / 4 for i in range(1, 8)),
         name=f"counterexample_eps{eps:g}" + ("_corrected" if corrector else ""),
-        sector=(angles[0], angles[2]),
+        pieces=_W_QUADRANT,
     )
 
 

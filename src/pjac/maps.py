@@ -1,4 +1,5 @@
-"""Evaluatable planar maps with closed-form Jacobians: ``PlanarMap``, central
+"""Evaluatable planar maps with closed-form Jacobians: ``PlanarMap``, the
+polygon pieces a map may declare for quadrature (``ChartPieces``), central
 finite differences, interface continuity reports and rotations."""
 
 from __future__ import annotations
@@ -7,7 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TWO_PI
 from .regions import Region
 
 FD_SCALE = 1e-6  # central-difference step is FD_SCALE * max(1, |x|)
@@ -42,6 +42,31 @@ class Interface:
 
 
 @dataclass(frozen=True)
+class ChartPieces:
+    """The domain of a map, cut into polygons of a chart on which the map's
+    energy density is smooth.
+
+    ``polygons`` holds (vertices, grading) pairs.  Three vertices make a
+    triangle, the unit square collapsed onto it at vertex 0:
+    w = v0 + s (v1 - v0) + s t (v2 - v1).  Four make a parallelogram with
+    v2 = v1 + v3 - v0: w = v0 + s (v1 - v0) + t (v3 - v0).  grading = (qs, qt)
+    substitutes s = a^qs and t = b^qt before the tensor Gauss rule in (a, b)
+    is applied; an exponent above 1 clusters nodes toward s = 0 (vertex v0
+    of a triangle, the edge v0 v3 of a parallelogram) or t = 0 (the edge
+    v0 v1 of either), where the density has a layer.  ``to_domain``
+    maps (..., 2) chart points into the domain.  ``weight`` is the constant
+    factor from chart area to domain area, times the number of mirror copies
+    of the polygons' union whose images tile the domain with the same energy
+    density; together the polygons, counted ``weight`` times, must have the
+    domain's area (``energy.region_energy`` checks it).
+    """
+
+    polygons: tuple
+    to_domain: callable
+    weight: float
+
+
+@dataclass(frozen=True)
 class PlanarMap:
     """A map from a planar region to the plane.
 
@@ -49,15 +74,12 @@ class PlanarMap:
     ``jac`` to (..., 2, 2) Jacobian matrices.  ``break_distance`` returns, for
     each point, a conservative lower bound for the distance to any curve
     across which derivatives may jump; ``break_radii``/``break_angles`` list
-    the polar-aligned subset of those curves for quadrature alignment.
+    the polar-aligned subset of those curves for the polar quadrature grid.
 
-    ``sector`` = (lo, hi), with 0 <= lo < hi <= 2 pi, is one fundamental
-    sector of the symmetry group of the energy density |Du|^2: a group of k =
-    2 pi / (hi - lo) orthogonal maps T, each with |Du(Tz)| = |Du(z)|, whose
-    images of the sector tile the circle.  Region energies over discs and
-    annuli centred at the origin integrate the sector alone and count it k
-    times (``energy.build_grid``).  The default, the whole circle, declares
-    no symmetry.
+    ``pieces``, when not None, declares polygons of a chart between all of
+    the map's breaks (``ChartPieces``); region energies over ``domain``
+    itself then use a tensor Gauss rule on each polygon instead of the polar
+    grid (``energy.region_energy``).
     """
 
     fn: callable
@@ -68,7 +90,7 @@ class PlanarMap:
     break_angles: tuple = ()
     interfaces: tuple = ()
     name: str = "map"
-    sector: tuple = (0.0, TWO_PI)
+    pieces: ChartPieces | None = None
 
     def __call__(self, pts) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(pts, dtype=float)))
@@ -93,9 +115,9 @@ def rotate_map(u: PlanarMap, alpha: float) -> PlanarMap:
 
     The domain must be rotation invariant (disc or annulus without
     constraints); energies over it are unchanged and the Jacobian field
-    rotates with alpha.  The result declares neither break angles nor a
-    sector: the rotation moves u's mirror axes, so u's sector is no longer a
-    fundamental sector of the rotated density's symmetries.
+    rotates with alpha.  The result declares neither break angles nor
+    pieces, since the rotation moves u's breaks; its region energies use the
+    polar grid.
     """
     if u.domain.kind not in ("disc", "annulus") or u.domain.constraints:
         raise ValueError("rotate_map needs a rotation-invariant domain")

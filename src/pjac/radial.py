@@ -281,14 +281,16 @@ class RadialProfile:
         mass = self.sign * self.datum.cumulative(r)
         return np.sqrt(np.clip(mass, 0.0, None))
 
-    def rho_dot(self, r) -> np.ndarray:
+    def rho_dot(self, r, rho=None) -> np.ndarray:
         """a.e. derivative of rho; +inf where rho vanishes but r f does not.
 
         rho = 0 with r f below roundoff scale (e.g. cumulative underflow at
         tiny radii) is a 0/0 limit, not a blow-up, and evaluates to 0.
+        ``rho``, if given, is ``self.rho(r)``, computed once by a caller that
+        needs both.
         """
         r = np.asarray(r, dtype=float)
-        rho = self.rho(r)
+        rho = self.rho(r) if rho is None else rho
         rf = self.sign * r * self.datum.f(r)
         out = np.zeros_like(rho)
         ok = rho > 0
@@ -299,9 +301,6 @@ class RadialProfile:
 
     def modulus(self, r) -> np.ndarray:
         return self.rho(r) / math.sqrt(abs(self.k))
-
-    def modulus_dot(self, r) -> np.ndarray:
-        return self.rho_dot(r) / math.sqrt(abs(self.k))
 
 
 def profile_from_datum(datum: RadialDatum, k: int) -> RadialProfile:
@@ -364,8 +363,9 @@ class GeneralisedStretching:
     def jacobian_matrix(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         r = np.hypot(pts[..., 0], pts[..., 1])
-        psi = self.profile.modulus(r)
-        psi_r = self.profile.modulus_dot(r)
+        # rho, one cumulative mass, serves both the modulus and its derivative
+        rho, root = self.profile.rho(r), math.sqrt(abs(self.k))
+        psi, psi_r = rho / root, self.profile.rho_dot(r, rho) / root
         bd = np.asarray(self.beta_dot(r))
         phi = self._phase(pts, r)
         cp, sp = np.cos(phi), np.sin(phi)
@@ -557,7 +557,7 @@ def condition_report(datum: RadialDatum) -> ConditionReport:
     if orientation != "mixed":
         prof = RadialProfile(datum=datum, k=1 if sign > 0 else -1)
         rho = prof.rho(grid)
-        rho_dot = prof.rho_dot(grid)
+        rho_dot = prof.rho_dot(grid, rho)
         with np.errstate(divide="ignore", invalid="ignore"):
             lam_r = np.where(rho > 0, np.abs(rho_dot) * grid / rho, np.inf)
         lam_r = np.where(np.isfinite(rho_dot), lam_r, np.inf)

@@ -50,6 +50,11 @@ class Region:
             mask &= _HALF_PLANES[c](pts)
         return mask
 
+    def area(self) -> float:
+        """The area; each half-plane constraint halves the centred base region."""
+        unit = np.pi if self.kind in ("disc", "annulus") else 2.0
+        return unit * (self.r_out**2 - self.r_in**2) / 2 ** len(self.constraints)
+
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         R = self.r_out
         lo, hi = np.array([-R, -R]), np.array([R, R])

@@ -384,32 +384,32 @@ def mirror_gap(u, n=4000, seed=8):
                for T in MIRRORS.values())
 
 
-def full_disc_gap(u, n):
-    """Relative gap between the sector ``region_energy`` and the full-disc sum."""
-    full = build_grid(disc(3.0), n, u.break_radii, u.break_angles)
-    whole = energy._energy_on_grid(u, 1, full)
+def full_disc_gap(u, n, mirrored):
+    """Relative gap between ``region_energy``, which counts the competitor's
+    w-quadrant pieces 4 times, and the same rule on all four quadrants."""
+    whole = energy._energy_on_grid(u, 1, energy.pieces_grid(mirrored(u.pieces), max(n // 16, 8)))
     return abs(region_energy(u, 1, disc(3.0), n=n).value - whole) / whole
 
 
 @pytest.mark.parametrize("eps", [1.0, 0.1, 1e-3, 1e-9])
-def test_competitor_density_has_the_declared_symmetry(eps):
+def test_competitor_density_has_the_declared_symmetry(eps, mirrored):
     # u(Tz) = T u(z) for both diagonal mirrors, so |Du| repeats on the four
-    # images of the declared sector and the quarter counted 4 times is the disc
+    # quadrants of the chart w and the quadrant counted 4 times is the disc
     u = assemble_counterexample(eps)
-    assert u.sector == (np.pi / 4, 3 * np.pi / 4)
+    assert u.pieces.weight == 4 * (np.pi / 2)
     assert mirror_gap(u) <= 1e-13
-    for n in (64, 256):
-        assert full_disc_gap(u, n) <= 1e-13
+    for n in (256, 1024):
+        assert full_disc_gap(u, n, mirrored) <= 1e-13
 
 
-def test_corrected_competitor_density_has_the_declared_symmetry(corrected_half):
+def test_corrected_competitor_density_has_the_declared_symmetry(corrected_half, mirrored):
     # the corrector acts inside the folded wedge, so it keeps the symmetry;
     # its FD Jacobian (step 1e-4) magnifies the chart's rounding at Tz to
     # about 2e-12
     eps, corr, _ = corrected_half
     u = assemble_counterexample(eps, corrector=corr)
     assert mirror_gap(u) <= 1e-10
-    assert full_disc_gap(u, 64) <= 1e-13
+    assert full_disc_gap(u, 256, mirrored) <= 1e-13
 
 
 class _StubCorrector:

@@ -29,10 +29,11 @@ from pjac.radial import (
     power_law_datum,
     profile_from_datum,
     sobolev_energy_1d,
+    truncated_gaussian_datum,
     uniform_datum,
     zhukovsky,
 )
-from pjac.regions import annulus, disc
+from pjac.regions import annulus, disc, l1_ball
 
 
 def _no_breaks(p):
@@ -74,40 +75,134 @@ def test_grid_aligns_with_break_radii():
     assert np.isclose(np.sum(grid.weights[inner]), math.pi, rtol=1e-10)
 
 
-QUARTER = (math.pi / 4, 3 * math.pi / 4)  # the counterexample's sector
-EIGHTHS = tuple(i * math.pi / 4 for i in range(1, 8))
+SECTOR = (-math.pi / 4, math.pi / 4)  # the z image of the competitor's w quadrant
 
 
 @pytest.mark.parametrize("n", [8, 17, 48, 81, 256, 1024])
-def test_sector_grid_is_a_subset_of_the_full_grid(n):
-    # the nodes of the full grid between the diagonals, bit for bit, with
-    # exactly 4 times their weights (not a rule rebuilt on the sector with
-    # n // 4 nodes, which at n = 81 puts 2 chunks per eighth against 3)
-    full = build_grid(disc(3.0), n, (1.0, 2.0), EIGHTHS)
-    sector = build_grid(disc(3.0), n, (1.0, 2.0), EIGHTHS, sector=QUARTER)
+def test_sector_grid_is_a_subset_of_the_full_grid(n, mirrored):
+    # the competitor's pieces cover the w quadrant, whose z image is the
+    # sector between the diagonals; the rule on all four mirror images of the
+    # pieces has, bit for bit, the same nodes in that sector with a quarter
+    # of their weights, and puts all of its other nodes in the other sectors
+    pieces = assemble_counterexample(0.1).pieces
+    order = max(n // 16, 8)
+    sector = energy.pieces_grid(pieces, order)
+    full = energy.pieces_grid(mirrored(pieces), order)
     theta = np.arctan2(full.nodes[:, 1], full.nodes[:, 0])
-    inside = (QUARTER[0] < theta) & (theta < QUARTER[1])
-    assert 4 * len(sector.weights) == len(full.weights)
+    inside = (SECTOR[0] < theta) & (theta < SECTOR[1])
+    assert 4 * len(sector.weights) == len(full.weights) == 4 * 6 * order**2
     assert np.array_equal(sector.nodes, full.nodes[inside])
     assert np.array_equal(sector.weights, 4.0 * full.weights[inside])
+    assert math.isclose(float(np.sum(sector.weights)), 9 * math.pi, rel_tol=1e-13)
 
 
-@pytest.mark.parametrize("sector", [(0.0, 1.0), (1.0, 0.5), (-0.5, 1.0), (0.0, 7.0)])
+@pytest.mark.parametrize("sector", [
+    (4.0, range(6)),                      # the chart's area factor pi/2 left out
+    (math.pi / 2, range(6)),              # the 4 mirror copies left out
+    (2 * math.pi, range(5)),              # a polygon left out
+    (2 * math.pi, (0, 0, 1, 2, 3, 4, 5)),  # a polygon counted twice
+])
 def test_grid_refuses_a_sector_that_does_not_tile_the_circle(sector):
-    with pytest.raises(ValueError, match="does not tile the circle"):
-        build_grid(disc(3.0), 64, sector=sector)
+    # (weight, polygons kept): pieces that, counted their weight times, miss
+    # or overlap part of the disc are refused before any Jacobian is evaluated
+    weight, kept = sector
+    u = assemble_counterexample(0.1)
+    pieces = replace(u.pieces, weight=weight, polygons=tuple(u.pieces.polygons[i] for i in kept))
+    with pytest.raises(ValueError, match="do not tile its domain"):
+        region_energy(replace(u, pieces=pieces, jac=None), 1, disc(3.0), n=64)
 
 
 def test_rotate_map_does_not_inherit_the_sector():
     # a rotation moves the mirror axes: the rotated density integrated over
-    # the original sector, counted 4 times, is off by about 10%
+    # the original w quadrant, counted 4 times, is off by about 10%
     u = assemble_counterexample(0.1)
     rotated = rotate_map(u, 0.3)
-    assert u.sector == QUARTER and rotated.sector == (0.0, 2 * math.pi)
+    assert u.pieces is not None and rotated.pieces is None
     full = energy._energy_on_grid(rotated, 1, build_grid(disc(3.0), 64, rotated.break_radii))
     assert region_energy(rotated, 1, disc(3.0), n=64).value == full
-    wrong = region_energy(replace(rotated, sector=u.sector), 1, disc(3.0), n=64).value
+    wrong = region_energy(replace(rotated, pieces=u.pieces), 1, disc(3.0), n=64).value
     assert abs(wrong - full) > 0.05 * full
+
+
+# -- the pieces rule ------------------------------------------------------------
+
+
+def _graded_reference(u, levels=30, ratio=0.3, order=24):
+    """The competitor's 2-energy on its six w-quadrant polygons, the two with a
+    layer cut geometrically toward it into ungraded triangles: Q_1 into
+    triangles at the origin whose far edges shrink toward (0, 1), and the
+    parallelogram next to it into two triangles at (0, 1), each cut into
+    layers that shrink toward (0, 1)."""
+    cuts = [0.0] + [1.0 - ratio**k for k in range(1, levels)] + [1.0]
+    tris = [((0.0, 0.0), (1.0 - a, a), (1.0 - b, b)) for a, b in zip(cuts, cuts[1:])]
+    corner = np.array([0.0, 1.0])
+    radii = [ratio**k for k in range(levels - 1, 0, -1)] + [1.0]
+    for e1, e2 in (((1.0, -1.0), (1.0, 0.0)), ((1.0, 0.0), (0.0, 1.0))):
+        e1, e2 = np.array(e1), np.array(e2)
+        tris.append((corner, corner + radii[0] * e1, corner + radii[0] * e2))
+        for a, b in zip(radii, radii[1:]):
+            p, q, r, s = corner + a * e1, corner + b * e1, corner + b * e2, corner + a * e2
+            tris += [(p, q, r), (p, r, s)]
+    smooth = [((1, 0), (2, 0), (1, 1)), ((0, 2), (1, 1), (1, 2), (0, 3)),
+              ((1, 1), (2, 0), (2, 1), (1, 2)), ((2, 0), (3, 0), (2, 1))]
+    polygons = tuple((tuple(map(tuple, np.asarray(v, dtype=float))), (1, 1))
+                     for v in tris + smooth)
+    grid = energy.pieces_grid(replace(u.pieces, polygons=polygons), order)
+    return energy._energy_on_grid(u, 1, grid)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-5, 1e-3, 1e-1])
+def test_pieces_rule_matches_a_graded_reference(eps):
+    # measured: within 1.2e-11 relative at n = 1024, where the polar grid on
+    # the sector read up to 1.1e-5 low; the reference agrees with its own
+    # refinement (40 levels of ratio 0.25, order 32) to 1e-15
+    u = assemble_counterexample(eps)
+    ref = _graded_reference(u)
+    assert abs(region_energy(u, 1, disc(3.0), n=1024).value - ref) <= 1e-9 * ref
+
+
+def test_pieces_rule_node_budget_at_grid_1024():
+    # orders 64 and 32 on six polygons: a tenth of the 327,168 nodes that
+    # the polar grid on the competitor's sector used at n = 1024
+    u = assemble_counterexample(1e-3)
+    points = []
+
+    def jac(z):
+        points.append(len(z))
+        return u.jac(z)
+
+    region_energy(replace(u, jac=jac), 1, disc(3.0), n=1024)
+    assert sum(points) == 6 * (64**2 + 32**2) == 30_720 <= 32_716
+
+
+def _diamond_map(jac):
+    """A map on the l1 ball Q_3 whose pieces are the competitor's w-quadrant
+    polygons in the identity chart, counted 4 times."""
+    pieces = replace(assemble_counterexample(0.1).pieces, to_domain=lambda w: w, weight=4.0)
+    return PlanarMap(fn=lambda p: p, domain=l1_ball(3.0), jac=jac,
+                     break_distance=_no_breaks, name="diamond", pieces=pieces)
+
+
+def _diag_jac(p, cut=math.inf):
+    """diag(x, y) at the points, nan beyond x = cut."""
+    x, y = np.where(p[:, 0] > cut, np.nan, p[:, 0]), p[:, 1]
+    zero = np.zeros_like(x)
+    return np.stack([x, zero, zero, y], axis=-1).reshape(-1, 2, 2)
+
+
+def test_pieces_rule_is_exact_for_polynomial_densities():
+    # x^2 + y^2 over |x| + |y| < 3 is 2 * 3^4 / 3 = 54; graded or not, each
+    # polygon's rule of order 5 or more is exact for it (orders 10 and 5)
+    rep = region_energy(_diamond_map(_diag_jac), 1, l1_ball(3.0), n=160)
+    assert abs(rep.value - 54.0) <= 1e-13 * 54.0
+    assert rep.refinement_estimate <= 1e-12
+
+
+def test_nonfinite_derivative_on_one_piece_raises():
+    # only the triangle beyond x = 2 returns nan
+    u = _diamond_map(lambda p: _diag_jac(p, cut=2.0))
+    with pytest.raises(EvaluationFailure, match="diamond"):
+        region_energy(u, 1, l1_ball(3.0), n=64)
 
 
 # -- region energies ----------------------------------------------------------
@@ -191,12 +286,14 @@ def test_nonfinite_derivative_in_last_block_raises():
 
 
 def test_region_energy_peak_memory_stays_blocked():
-    # n = 1024 on the competitor's quarter sector: 262,144 fine nodes, as
-    # many as the whole disc at n = 512; unblocked, the peak reads about 48 MB
+    # n = 4096 on the competitor's pieces: orders 256 and 128, 393,216 fine
+    # nodes in 12 blocks, each polygon mapped into the disc on its own; the
+    # peak reads about 20 MB, and the fine level's Jacobian alone, unblocked,
+    # about 61 MB
     u = assemble_counterexample(0.01)
     tracemalloc.start()
     try:
-        region_energy(u, 1, disc(3.0), n=1024)
+        region_energy(u, 1, disc(3.0), n=4096)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -227,6 +324,63 @@ def test_circle_energy_jensen_monotonicity():
         for p in (1.5, 2.0, 3.0):
             higher = circle_energy(pmap, p, r) / (2 * math.pi)
             assert base**p <= higher * (1 + 1e-12)
+
+
+def _fixed_circle(u, p, r, n=2048):
+    """The periodic trapezoid rule on n equally spaced angles of S_r."""
+    theta = np.arange(n) * (2 * math.pi / n)
+    jac = u.jacobian(r * np.stack([np.cos(theta), np.sin(theta)], axis=-1))
+    return float(np.sum(np.sum(jac * jac, axis=(-2, -1)) ** p) * (2 * math.pi / n))
+
+
+def _counting(u):
+    """u with a Jacobian that records how many points each call evaluates."""
+    points = []
+
+    def jac(z):
+        points.append(math.prod(np.shape(z)[:-1]))
+        return u.jac(z)
+
+    return replace(u, jac=jac), points
+
+
+def _stretching(datum, k):
+    return GeneralisedStretching(profile_from_datum(datum, k)).as_planar_map()
+
+
+CIRCLE_MAPS = {
+    "identity": lambda: identity_map(),
+    "uniform-k1": lambda: _stretching(uniform_datum(1.0, 3.0), 1),
+    "uniform-k2": lambda: _stretching(uniform_datum(1.0, 3.0), 2),
+    "gauss": lambda: _stretching(truncated_gaussian_datum(1.0, 2.5), 1),
+    "power": lambda: _stretching(power_law_datum(0.4), 2),
+    "layered": lambda: layered_profile(0.01).as_planar_map(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CIRCLE_MAPS))
+@pytest.mark.parametrize("p", [1, 2])
+def test_nested_circle_rule_matches_the_fixed_rule(name, p):
+    # every density here is theta-invariant, so each circle stops at the
+    # first doubling, 512 nodes, a quarter of the fixed 2,048-node rule
+    u, points = _counting(CIRCLE_MAPS[name]())
+    radii = np.array([0.3, 0.7, 1.3, 1.7, 2.4])
+    values = circle_energy(u, p, radii)
+    assert values.shape == radii.shape and sum(points) == 512 * len(radii)
+    for r, value in zip(radii, values):
+        fixed = _fixed_circle(u, p, r)
+        assert abs(value - fixed) <= 1e-14 * fixed
+
+
+def test_nested_circle_rule_runs_to_the_cap_on_a_kinked_density():
+    # the competitor's density depends on theta and has kinks on S_2.5 (the
+    # diagonals, the chords x = +-1, +-2 of the chart), so its levels never
+    # agree to 1e-13 and the circle takes all 2,048 nodes
+    u, points = _counting(assemble_counterexample(0.1))
+    value = circle_energy(u, 1, 2.5)
+    assert sum(points) == 2048 and np.ndim(value) == 0
+    fixed = _fixed_circle(u, 1, 2.5)
+    assert abs(value - fixed) <= 1e-14 * fixed
 
 
 def test_circle_energy_rejects_break_radius():
